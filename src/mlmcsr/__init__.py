@@ -7,129 +7,37 @@ square error, at near-optimal total work.  Accuracy is split evenly
 between sampling variance and the bias left by the finest tolerance;
 per realization, the solver is refined only while the attained
 tolerance straddles the decision boundary y.
+
+The package root re-exports what the command line, the demos and the
+quick start use; everything else is imported from its submodule
+(``mlmcsr.driver``, ``mlmcsr.estimators``, ``mlmcsr.experiment``,
+``mlmcsr.models``, ``mlmcsr.refinement``, ``mlmcsr.streams``).
 """
 
-from .estimators import (
-    Allocation,
-    CorrectorTally,
-    EstimatorConfig,
-    InsufficientSamplesError,
-    LevelSchedule,
-    MomentEstimates,
-    allocate,
-    bias_bound,
-    corrector_cost,
-    corrector_moments,
-    cost_per_sample,
-    level0_moments,
-    mc_estimate,
-    mlmc_combine,
-    optimal_allocation,
-    shrinkage_estimate,
-    termination_check,
-)
-from .driver import (
-    LevelState,
-    NonConvergenceError,
-    RunRecord,
-    run_mc_baseline,
-    run_mlmc_sr,
-)
+from .estimators import EstimatorConfig, LevelSchedule, shrinkage_estimate
 from .experiment import (
-    SCHEMA_VERSION,
-    ConfigError,
-    CostSlopeFit,
     ExperimentConfig,
-    ExperimentReport,
-    RunRow,
-    SummaryRow,
     emit_histogram,
     fit_cost_slope,
-    read_runs_csv,
-    read_summary_csv,
     run_experiment,
-    summarize_runs,
     theoretical_cost,
-    write_runs_csv,
-    write_summary_csv,
 )
-from .models import (
-    MODELS,
-    EllipticFlux1D,
-    ModelInitError,
-    SyntheticNormalModel,
-    build_model,
-    standard_normal_cdf,
-)
-from .refinement import (
-    CorrectorBatch,
-    ModelContract,
-    RealizationState,
-    SampleId,
-    SolveStep,
-    assumption_holds,
-    mean_selective_cost,
-    sample_corrector_batch,
-    solve_full,
-    solve_selective,
-)
+from .models import EllipticFlux1D, SyntheticNormalModel, build_model, standard_normal_cdf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
-    "ConfigError",
-    "CorrectorBatch",
-    "CorrectorTally",
-    "CostSlopeFit",
     "EllipticFlux1D",
     "EstimatorConfig",
     "ExperimentConfig",
-    "ExperimentReport",
-    "InsufficientSamplesError",
     "LevelSchedule",
-    "LevelState",
-    "MODELS",
-    "ModelContract",
-    "ModelInitError",
-    "MomentEstimates",
-    "NonConvergenceError",
-    "RealizationState",
-    "RunRecord",
-    "RunRow",
-    "SCHEMA_VERSION",
-    "SampleId",
-    "SolveStep",
-    "SummaryRow",
     "SyntheticNormalModel",
-    "allocate",
-    "assumption_holds",
-    "bias_bound",
     "build_model",
-    "corrector_cost",
-    "corrector_moments",
-    "cost_per_sample",
     "emit_histogram",
     "fit_cost_slope",
-    "level0_moments",
-    "mc_estimate",
-    "mean_selective_cost",
-    "mlmc_combine",
-    "optimal_allocation",
-    "read_runs_csv",
-    "read_summary_csv",
     "run_experiment",
-    "run_mc_baseline",
-    "run_mlmc_sr",
-    "sample_corrector_batch",
     "shrinkage_estimate",
-    "solve_full",
-    "solve_selective",
     "standard_normal_cdf",
-    "summarize_runs",
-    "termination_check",
     "theoretical_cost",
-    "write_runs_csv",
-    "write_summary_csv",
     "__version__",
 ]

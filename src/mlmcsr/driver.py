@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +45,6 @@ __all__ = [
     "run_mlmc_sr",
     "run_mc_baseline",
 ]
-
-_DEFAULT_CHUNK = 1 << 16
-
 
 @dataclass
 class LevelState:
@@ -107,6 +105,29 @@ class NonConvergenceError(RuntimeError):
         )
 
 
+@contextmanager
+def _worker_pool(threads: int):
+    """A thread pool for ``threads`` > 1; None (work runs inline) for 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool
+
+
+def _map_chunks(fn, lo: int, hi: int, chunk: int, pool: ThreadPoolExecutor | None):
+    """``fn((a, b))`` over [lo, hi) cut every ``chunk`` indices from lo.
+
+    The cuts depend only on the range, and results arrive in range
+    order whichever worker finishes first, so folding them is
+    deterministic.
+    """
+    ranges = [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
+    return pool.map(fn, ranges) if pool is not None else map(fn, ranges)
+
+
 def _extend_level(
     model: ModelContract,
     seed: int,
@@ -120,8 +141,6 @@ def _extend_level(
     lo, hi = state.n_drawn, state.n_target
     if hi <= lo:
         return
-    chunk = getattr(model, "batch_chunk", _DEFAULT_CHUNK)
-    ranges = [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
     sched = config.schedule
 
     def work(bounds):
@@ -131,8 +150,7 @@ def _extend_level(
             rule=config.refine_rule, skip_redundant=config.skip_redundant,
         )
 
-    batches = pool.map(work, ranges) if pool is not None else map(work, ranges)
-    for batch in batches:  # arrival order == range order, exactly
+    for batch in _map_chunks(work, lo, hi, model.batch_chunk, pool):
         n = batch.q_fine.size
         if state.level == 0:
             q = batch.q_fine.astype(np.float64)
@@ -177,14 +195,11 @@ def run_mlmc_sr(
     Raises NonConvergenceError (with the partial record attached) if
     the bias criterion is still unmet at config.max_level.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     levels: list[LevelState] = []
     trace: list[tuple[int, float, float]] = []
     sched = config.schedule
     converged = False
-    try:
+    with _worker_pool(threads) as pool:
         for L in range(config.max_level + 1):
             levels.append(LevelState(
                 L, CorrectorTally(L), histogram=np.zeros(L + 1, dtype=np.int64)
@@ -193,7 +208,7 @@ def run_mlmc_sr(
             _extend_level(model, seed, levels[L], mandatory, config, pool)
 
             alloc = optimal_allocation(_allocation_moments(levels, config.k), sched,
-                                       config.epsilon, mode="selective")
+                                       config.epsilon)
             for ls, n in zip(levels, alloc.sizes):
                 _extend_level(model, seed, ls, int(n), config, pool)
 
@@ -202,16 +217,12 @@ def run_mlmc_sr(
                 ls.moments = m
 
             if L >= 2:
-                lhs = max(config.gamma * moments[L - 1].mean_bound,
-                          moments[L].mean_bound)
-                rhs = (1.0 / config.gamma - 1.0) * config.epsilon / math.sqrt(2.0)
+                accepted, lhs, rhs = termination_check(
+                    moments[L - 1], moments[L], sched, config.epsilon)
                 trace.append((L, lhs, rhs))
-                if termination_check(moments[L - 1], moments[L], sched, config.epsilon):
+                if accepted:
                     converged = True
                     break
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     raw = mlmc_combine([ls.tally for ls in levels])
     record = RunRecord(
@@ -235,19 +246,10 @@ def run_mlmc_sr(
 # single-level baseline
 # ---------------------------------------------------------------------------
 
-def _full_indicator_chunk(model, seed, level, lo, hi, y, tol):
-    """Fully solved level-l indicators and work for indices [lo, hi)."""
-    if hasattr(model, "draw_batch") and hasattr(model, "solve_batch"):
-        bh = model.draw_batch(seed, level, lo, hi)
-        sel = np.arange(hi - lo, dtype=np.int64)
-        v, w = model.solve_batch(bh, sel, tol, level)
-        return np.asarray(v) <= y, np.asarray(w, dtype=np.float64)
-    from .refinement import SampleId
-    vals = np.empty(hi - lo)
-    work = np.empty(hi - lo)
-    for pos, i in enumerate(range(lo, hi)):
-        vals[pos], work[pos] = model.solve(model.draw(SampleId(seed, level, i)), tol, level)
-    return vals <= y, work
+def _full_indicators(model, batch, n, level, y, tol):
+    """Indicators and work of the n rows of ``batch`` solved fully to ``tol``."""
+    v, w = model.solve_batch(batch, np.arange(n, dtype=np.int64), tol, level)
+    return np.asarray(v) <= y, np.asarray(w, dtype=np.float64)
 
 
 def run_mc_baseline(
@@ -266,11 +268,14 @@ def run_mc_baseline(
     (there are no correctors in this method); the termination trace
     holds the pilot's (level, bias_bound, threshold) rows.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    with _worker_pool(threads) as pool:
+        return _run_mc_baseline(model, config, seed, pool)
+
+
+def _run_mc_baseline(model, config, seed, pool):
+    """The body of ``run_mc_baseline``, with its worker pool open."""
     sched = config.schedule
     threshold = config.epsilon / math.sqrt(2.0)
-    chunk = getattr(model, "batch_chunk", _DEFAULT_CHUNK)
     trace: list[tuple[int, float, float]] = []
 
     pilot_cost = 0.0
@@ -278,9 +283,9 @@ def run_mc_baseline(
     star = None
     for L in range(1, config.max_level + 1):
         n_pilot = math.ceil(config.N * config.gamma ** -L)
-        tol_f, tol_c = sched.tolerance(L), sched.tolerance(L - 1)
-        qf, wf = _full_indicator_chunk(model, seed, L, 0, n_pilot, config.y, tol_f)
-        qc, wc = _full_indicator_chunk(model, seed, L, 0, n_pilot, config.y, tol_c)
+        batch = model.draw_batch(seed, L, 0, n_pilot)
+        qf, wf = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L))
+        qc, wc = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L - 1))
         pilot_cost += float(np.sum(wc))
         d = qf.astype(np.int64) - qc.astype(np.int64)
         tally = CorrectorTally(L, n=n_pilot,
@@ -310,20 +315,16 @@ def run_mc_baseline(
     state.cost = float(np.sum(wf))
     tol = sched.tolerance(star)
 
-    ranges = [(a, min(a + chunk, n_mc)) for a in range(n_pilot, n_mc, chunk)]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and ranges else None
-    try:
-        work = lambda bounds: _full_indicator_chunk(
-            model, seed, star, bounds[0], bounds[1], config.y, tol)
-        results = pool.map(work, ranges) if pool is not None else map(work, ranges)
-        parts = [q_all]
-        for q, w in results:
-            parts.append(q.astype(np.float64))
-            state.cost += float(np.sum(w))
-        q_all = np.concatenate(parts) if len(parts) > 1 else q_all
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    def work(bounds):
+        a, b = bounds
+        return _full_indicators(model, model.draw_batch(seed, star, a, b), b - a,
+                                star, config.y, tol)
+
+    parts = [q_all]
+    for q, w in _map_chunks(work, n_pilot, n_mc, model.batch_chunk, pool):
+        parts.append(q.astype(np.float64))
+        state.cost += float(np.sum(w))
+    q_all = np.concatenate(parts) if len(parts) > 1 else q_all
 
     state.tally = CorrectorTally(star, n=n_mc, n_plus=0, n_minus=0,
                                  sum_q0=float(np.sum(q_all)),

@@ -18,7 +18,7 @@ when counts are small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "allocate",
     "optimal_allocation",
     "mlmc_combine",
-    "mc_estimate",
     "bias_bound",
     "termination_check",
 ]
@@ -95,6 +94,10 @@ class EstimatorConfig:
     max_level: int = 30
 
     def __post_init__(self) -> None:
+        for name in ("y", "epsilon", "gamma", "q", "k"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.N < 1:
@@ -154,9 +157,6 @@ class CorrectorTally:
         self.sum_q0 += other.sum_q0
         self.sum_q0_sq += other.sum_q0_sq
         self._check()
-
-    def copy(self) -> "CorrectorTally":
-        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -246,29 +246,24 @@ def level0_allocation_variance(tally: CorrectorTally, k: float) -> float:
     return max(level0_moments(tally).var_bound, smoothed)
 
 
-def cost_per_sample(level: int, schedule: LevelSchedule, mode: str = "selective") -> float:
-    """Expected work of one level-l functional evaluation.
+def cost_per_sample(level: int, schedule: LevelSchedule) -> float:
+    """Expected work of one selectively refined level-l functional.
 
-    "full" always solves to tolerance gamma**l: gamma**(-q*l) units.
-    "selective" pays for the whole refinement ladder weighted by the
-    shrinking fraction of realizations that reach each rung:
+    It pays for the whole refinement ladder weighted by the shrinking
+    fraction of realizations that reach each rung:
     sum_{j=0..l} gamma**((1-q) j).
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if mode == "full":
-        return schedule.gamma ** (-schedule.q * level)
-    if mode == "selective":
-        r = schedule.gamma ** (1.0 - schedule.q)
-        return float(sum(r ** j for j in range(level + 1)))
-    raise ValueError(f"unknown cost mode {mode!r}")
+    r = schedule.gamma ** (1.0 - schedule.q)
+    return float(sum(r ** j for j in range(level + 1)))
 
 
-def corrector_cost(level: int, schedule: LevelSchedule, mode: str = "selective") -> float:
+def corrector_cost(level: int, schedule: LevelSchedule) -> float:
     """Work of one corrector sample: the level-l and level-(l-1) solves."""
-    c = cost_per_sample(level, schedule, mode)
+    c = cost_per_sample(level, schedule)
     if level >= 1:
-        c += cost_per_sample(level - 1, schedule, mode)
+        c += cost_per_sample(level - 1, schedule)
     return c
 
 
@@ -299,7 +294,6 @@ def optimal_allocation(
     moments: Sequence[MomentEstimates],
     schedule: LevelSchedule,
     epsilon: float,
-    mode: str = "selective",
 ) -> Allocation:
     """Allocation from per-level moment bounds and the schedule's cost model."""
     if not moments:
@@ -308,7 +302,7 @@ def optimal_allocation(
     if levels != list(range(len(moments))):
         raise ValueError(f"moments must cover levels 0..L contiguously, got {levels}")
     variances = [m.var_bound for m in moments]
-    costs = [corrector_cost(l, schedule, mode) for l in levels]
+    costs = [corrector_cost(l, schedule) for l in levels]
     return allocate(variances, costs, epsilon)
 
 
@@ -334,14 +328,6 @@ def mlmc_combine(tallies: Sequence[CorrectorTally]) -> float:
     return total
 
 
-def mc_estimate(observations: Sequence[float]) -> float:
-    """Plain Monte Carlo mean of indicator observations."""
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.size == 0:
-        raise InsufficientSamplesError("mc_estimate needs at least one observation")
-    return float(np.mean(obs))
-
-
 def bias_bound(moments: MomentEstimates, gamma: float) -> float:
     """Remaining-bias bound from the last corrector's mean bound.
 
@@ -359,10 +345,11 @@ def termination_check(
     moments_last: MomentEstimates,
     schedule: LevelSchedule,
     epsilon: float,
-) -> bool:
+) -> tuple[bool, float, float]:
     """Decide whether the level hierarchy is deep enough.
 
-    Accepts when max(gamma * |E[Y_{L-1}]|, |E[Y_L]|) < (1/gamma - 1) *
+    Returns (accepted, lhs, rhs) and accepts when lhs < rhs, with
+    lhs = max(gamma * |E[Y_{L-1}]|, |E[Y_L]|) and rhs = (1/gamma - 1) *
     epsilon / sqrt(2): the larger of the extrapolated and observed last
     corrector magnitudes must fit the bias half of the error budget.
     """
@@ -373,4 +360,4 @@ def termination_check(
         moments_last.mean_bound,
     )
     rhs = (1.0 / schedule.gamma - 1.0) * epsilon / math.sqrt(2.0)
-    return lhs < rhs
+    return lhs < rhs, lhs, rhs

@@ -86,8 +86,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.epsilons:
             raise ConfigError("epsilons must be a nonempty list")
-        if any(e <= 0.0 for e in self.epsilons):
-            raise ConfigError(f"epsilons must be positive, got {self.epsilons}")
+        if not all(math.isfinite(e) and e > 0.0 for e in self.epsilons):
+            raise ConfigError(f"epsilons must be finite and positive, got {self.epsilons}")
+        for name in ("reference_p", "reference_stderr"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.method not in _METHODS:
@@ -311,8 +315,9 @@ def read_summary_csv(path: Path) -> list[SummaryRow]:
 # ---------------------------------------------------------------------------
 
 def _resolve_reference(model, config: ExperimentConfig) -> float:
-    if hasattr(model, "exact_probability"):
-        return float(model.exact_probability(config.y))
+    exact_probability = getattr(model, "exact_probability", None)  # an optional oracle
+    if exact_probability is not None:
+        return float(exact_probability(config.y))
     if config.reference_p is not None:
         return float(config.reference_p)
     warnings.warn(

@@ -1,25 +1,26 @@
 """Models exposing tunable-accuracy solvers for the estimator.
 
-Both models honor the same contract: ``draw`` materializes a
-realization from its (seed, level, index) identity alone, ``solve``
-returns a value certified to the requested tolerance together with the
-work charged, and repeated solves of the same (realization, tolerance
-index) reproduce the same value bit for bit.  The vectorized hooks
-``draw_batch`` / ``solve_batch`` produce exactly the same numbers as
-the scalar calls, just for many indices at once.
+Both models honor one batched contract (``refinement.ModelContract``):
+``draw_batch(seed, level, lo, hi)`` materializes realizations lo..hi-1
+of a level, each from its (seed, level, index) identity alone, so a
+row has the same bits however the range is chunked; ``solve_batch``
+returns values of the selected rows certified to the requested
+tolerance together with the work charged, and repeated solves of the
+same (realization, tolerance index) reproduce the same value bit for
+bit; ``batch_chunk`` is the chunk size the drivers draw in.  A single
+realization is a batch of one.  ``exact_batch`` and, where a closed
+form exists, ``exact_probability`` are test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .refinement import SampleId
-from .streams import derive_key, normal_at, normal_scalar, uniform_at, uniform_scalar
+from .streams import derive_key, normal_at, uniform_at
 
 __all__ = [
     "ModelInitError",
@@ -51,14 +52,8 @@ def _slot_key(seed: int, level: int, slot: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# synthetic scalar model
+# synthetic normal model
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _SyntheticHandle:
-    sid: SampleId
-    omega: float
-
 
 @dataclass
 class _SyntheticBatch:
@@ -103,37 +98,18 @@ class SyntheticNormalModel:
         self.b = b
         self.uniform_source = uniform_source
 
-    # -- scalar contract ----------------------------------------------------
-
-    def draw(self, sid: SampleId) -> _SyntheticHandle:
-        key = _slot_key(sid.seed, sid.level, _REALIZATION_SLOT)
-        return _SyntheticHandle(sid, normal_scalar(key, sid.index))
-
-    def from_omega(self, omega: float, level: int = 0, index: int = 0, seed: int = 0) -> _SyntheticHandle:
-        """Handle with a prescribed omega, for hand-traced fixtures."""
-        return _SyntheticHandle(SampleId(seed, level, index), omega)
-
-    def solve(self, handle: _SyntheticHandle, tolerance: float, tol_index: int) -> tuple[float, float]:
-        sid = handle.sid
-        if self.uniform_source is not None:
-            u = self.uniform_source(sid.level, sid.index, tol_index)
-        else:
-            u = uniform_scalar(_slot_key(sid.seed, sid.level, tol_index + 1), sid.index)
-        value = handle.omega + tolerance * (2.0 * u - 1.0 + self.b) / (1.0 + self.b)
-        return value, self.work_units(tolerance)
+    def from_omega(self, omega: float, level: int = 0, index: int = 0, seed: int = 0) -> _SyntheticBatch:
+        """Batch of one realization with a prescribed omega, for hand-traced fixtures."""
+        idx = np.array([index], dtype=np.uint64)
+        return _SyntheticBatch(seed, level, index, idx, np.array([omega], dtype=np.float64))
 
     def work_units(self, tolerance: float) -> float:
         if tolerance <= 0.0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
         return tolerance ** -self.q
 
-    def exact_qoi(self, handle: _SyntheticHandle) -> float:
-        return handle.omega
-
     def exact_probability(self, y: float) -> float:
         return standard_normal_cdf(y)
-
-    # -- vectorized contract --------------------------------------------------
 
     def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> _SyntheticBatch:
         idx = np.arange(lo, hi, dtype=np.uint64)
@@ -166,22 +142,14 @@ class SyntheticNormalModel:
 # one-dimensional elliptic flux model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _EllipticHandle:
-    sid: SampleId
-    fluxes: np.ndarray   # coarse flux per dyadic grid, coarsest first
-    errors: np.ndarray   # |flux - exact| per grid
-    exact: float
-
-
 @dataclass
 class _EllipticBatch:
     seed: int
     level: int
     lo: int
     indices: np.ndarray
-    fluxes: np.ndarray   # (n, grids)
-    errors: np.ndarray   # (n, grids)
+    fluxes: np.ndarray   # (n, grids): coarse flux per dyadic grid, coarsest first
+    errors: np.ndarray   # (n, grids): |flux - exact| per grid
     exact: np.ndarray    # (n,)
 
 
@@ -213,7 +181,6 @@ class EllipticFlux1D:
         sigma: float = 1.0,
         rho: float = 0.1,
         master_cells: int = 4096,
-        field_dump_dir: str | Path | None = None,
     ) -> None:
         if sigma < 0.0:
             raise ModelInitError(f"sigma must be >= 0, got {sigma}")
@@ -225,7 +192,6 @@ class EllipticFlux1D:
         self.sigma = sigma
         self.rho = rho
         self.master_cells = m
-        self.field_dump_dir = Path(field_dump_dir) if field_dump_dir is not None else None
         self._grids = [2 ** g for g in range(m.bit_length())]  # 1, 2, ..., m
         self._chol = self._factor_covariance()
 
@@ -254,12 +220,7 @@ class EllipticFlux1D:
         key = _slot_key(seed, level, _REALIZATION_SLOT)
         base = np.uint64(index) * np.uint64(m)
         z = normal_at(key, base + np.arange(m, dtype=np.uint64))
-        a = np.exp(self._chol @ z)
-        if self.field_dump_dir is not None:
-            self.field_dump_dir.mkdir(parents=True, exist_ok=True)
-            out = self.field_dump_dir / f"field_L{level}_i{index}.f64le"
-            a.astype("<f8").tofile(out)
-        return a
+        return np.exp(self._chol @ z)
 
     def _coarse_flux(self, a: np.ndarray, cells: int) -> float:
         """Flux on a ``cells``-cell grid of arithmetically averaged coefficients."""
@@ -267,43 +228,14 @@ class EllipticFlux1D:
         resistance = (1.0 / cells) * np.sum(1.0 / a_bar)
         return 1.0 / resistance
 
-    def _profile(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        fluxes = np.array([self._coarse_flux(a, c) for c in self._grids])
-        exact = fluxes[-1]  # master grid: averaging is the identity
-        errors = np.abs(fluxes - exact)
-        return fluxes, errors, float(exact)
-
-    # -- scalar contract ----------------------------------------------------
-
-    def draw(self, sid: SampleId) -> _EllipticHandle:
-        a = self._field(sid.seed, sid.level, sid.index)
-        fluxes, errors, exact = self._profile(a)
-        return _EllipticHandle(sid, fluxes, errors, exact)
-
-    def solve(self, handle: _EllipticHandle, tolerance: float, tol_index: int) -> tuple[float, float]:
-        if tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        pick = int(np.argmax(handle.errors <= tolerance))
-        return float(handle.fluxes[pick]), float(self._grids[pick])
-
-    def work_units(self, tolerance: float) -> float:
-        # worst-case bound: the master grid always certifies
-        return float(self.master_cells)
-
-    def exact_qoi(self, handle: _EllipticHandle) -> float:
-        return handle.exact
-
-    # -- vectorized contract --------------------------------------------------
-
     def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> _EllipticBatch:
         n = hi - lo
-        m = self.master_cells
         grids = self._grids
         fluxes = np.empty((n, len(grids)))
         for row, index in enumerate(range(lo, hi)):
             a = self._field(seed, level, index)
             fluxes[row] = [self._coarse_flux(a, c) for c in grids]
-        exact = fluxes[:, -1].copy()
+        exact = fluxes[:, -1].copy()  # master grid: averaging is the identity
         errors = np.abs(fluxes - exact[:, None])
         idx = np.arange(lo, hi, dtype=np.int64)
         return _EllipticBatch(seed, level, lo, idx, fluxes, errors, exact)

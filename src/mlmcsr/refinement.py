@@ -1,8 +1,8 @@
-"""Selective refinement of individual realizations.
+"""Selective refinement of realizations, one batched kernel.
 
 A realization only needs to be solved accurately enough to decide its
 indicator 1(X <= y).  Starting from a cheap tolerance-1 solve, the
-loop halves the tolerance (by factor gamma) while the certified error
+kernel halves the tolerance (by factor gamma) while the certified error
 band still straddles y, and stops as soon as either the level's target
 tolerance gamma**level is reached or the value is provably on one side
 of y.  At exit the realization satisfies the accuracy contract
@@ -10,6 +10,11 @@ of y.  At exit the realization satisfies the accuracy contract
     |X - value| <= gamma**level   or   |X - value| < |value - y|,
 
 which is exactly what the multilevel telescope needs from samples.
+
+The kernel refines every row of a drawn batch at once through the
+model's ``solve_batch``: ``sample_corrector_batch`` runs it on a range
+of indices for both functionals of a corrector, and ``solve_selective``
+is the same kernel on a batch of one realization.
 
 Two guard variants are provided:
 
@@ -27,23 +32,20 @@ Two guard variants are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Any, Protocol
 
 import numpy as np
 
-from .estimators import InsufficientSamplesError, LevelSchedule
+from .estimators import LevelSchedule
 
 __all__ = [
     "SampleId",
     "ModelContract",
-    "SolveStep",
     "RealizationState",
     "CorrectorBatch",
     "solve_selective",
-    "solve_full",
     "sample_corrector_batch",
-    "mean_selective_cost",
     "assumption_holds",
 ]
 
@@ -61,38 +63,29 @@ class SampleId:
     index: int
 
 
-@runtime_checkable
 class ModelContract(Protocol):
-    """What a model must provide to be driven by this module.
+    """What a model must provide to be driven by this package.
 
-    ``solve`` returns (value, work) with the hard guarantee
-    |X(handle) - value| <= tolerance; repeated calls with the same
-    (handle, tol_index) return the same value.  ``work_units`` is the
-    nominal cost of one solve at a tolerance; models whose work is
-    realization-dependent report the actual work through ``solve``.
+    ``draw_batch(seed, level, lo, hi)`` materializes realizations
+    lo..hi-1 of a level; row i depends on (seed, level, lo + i) alone.
+    ``solve_batch(batch, sel, tolerance, tol_index)`` returns (values,
+    works) for the selected rows with the hard guarantee
+    |X - value| <= tolerance; repeated calls with the same tol_index
+    return the same values.  ``batch_chunk`` is the number of
+    realizations the drivers hand to one ``draw_batch`` call.
 
-    Models may additionally provide ``exact_qoi(handle)`` and
-    ``exact_probability(y)`` as test oracles, and the vectorized hooks
-    ``draw_batch`` / ``solve_batch`` used by the fast sampling path.
+    Models may additionally provide ``exact_batch(batch)`` and
+    ``exact_probability(y)`` as test oracles.
     """
 
     name: str
+    batch_chunk: int
 
-    def draw(self, sid: SampleId) -> Any: ...
+    def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> Any: ...
 
-    def solve(self, handle: Any, tolerance: float, tol_index: int) -> tuple[float, float]: ...
-
-    def work_units(self, tolerance: float) -> float: ...
-
-
-@dataclass(frozen=True)
-class SolveStep:
-    """One solver invocation: ladder index, tolerance, value, work charged."""
-
-    tol_index: int
-    tolerance: float
-    value: float
-    work: float
+    def solve_batch(
+        self, batch: Any, sel: np.ndarray, tolerance: float, tol_index: int
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass
@@ -100,24 +93,80 @@ class RealizationState:
     """Outcome of refining one realization.
 
     ``achieved_tolerance_index`` is the ladder index j such that
-    |X - value| <= gamma**j is certified; ``iterations`` counts loop
-    passes beyond the initial solve; ``cost`` is the summed work of
-    every solve recorded in ``steps``.
+    |X - value| <= gamma**j is certified; ``cost`` is the summed work of
+    every solve the refinement made.
     """
 
-    sid: SampleId | None
+    sid: SampleId
     level: int
     value: float
     achieved_tolerance_index: int
     cost: float
-    iterations: int
-    steps: list[SolveStep] = field(default_factory=list)
 
 
-def _resolve_handle(model: ModelContract, sid_or_handle: Any) -> tuple[SampleId | None, Any]:
-    if isinstance(sid_or_handle, SampleId):
-        return sid_or_handle, model.draw(sid_or_handle)
-    return getattr(sid_or_handle, "sid", None), sid_or_handle
+def _refine(
+    model: ModelContract,
+    batch: Any,
+    n: int,
+    level: int,
+    y: float,
+    schedule: LevelSchedule,
+    rule: str,
+    skip_redundant: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refine rows 0..n-1 of a drawn batch to ``level`` around ``y``.
+
+    Returns (value, cost, stop) of the level-l functional and
+    (value_c, cost_c) of the level-(l-1) one.  Both share each row's
+    tolerance-indexed solves, so their trajectories coincide until the
+    coarse one hits its cap; at level 0 the coarse cost is zero.
+    """
+    if rule not in ("certified", "printed"):
+        raise ValueError(f"unknown refinement rule {rule!r}")
+    everyone = np.arange(n, dtype=np.int64)
+    value, work = model.solve_batch(batch, everyone, 1.0, 0)
+    value = np.array(value, dtype=np.float64, copy=True)
+    cost_f = np.array(work, dtype=np.float64, copy=True)
+    stop = np.zeros(n, dtype=np.int64)
+    coarse_cap = level - 1
+    value_c = value.copy()
+    cost_c = cost_f.copy() if level >= 1 else np.zeros(n, dtype=np.float64)
+
+    if rule == "certified":
+        if level >= 1:
+            active = everyone[np.abs(value - y) < 1.0]
+            for t in range(1, level + 1):
+                if active.size == 0:
+                    break
+                tol = schedule.tolerance(t)
+                v, w = model.solve_batch(batch, active, tol, t)
+                value[active] = v
+                cost_f[active] += w
+                stop[active] = t
+                if t <= coarse_cap:
+                    value_c[active] = v
+                    cost_c[active] += w
+                active = active[np.abs(v - y) < tol]
+    else:
+        active = everyone
+        for j in range(0, level + 1):
+            tol = schedule.tolerance(j)
+            active = active[np.abs(value[active] - y) < tol]
+            if active.size == 0:
+                break
+            if not (skip_redundant and j == 0):
+                v, w = model.solve_batch(batch, active, tol, j)
+                value[active] = v
+                cost_f[active] += w
+                if j <= coarse_cap:
+                    value_c[active] = v
+                    cost_c[active] += w
+            stop[active] = j
+    return value, cost_f, stop, value_c, cost_c
+
+
+def _draw_one(model: ModelContract, sid: SampleId) -> Any:
+    return model.draw_batch(sid.seed, sid.level, sid.index, sid.index + 1)
 
 
 def solve_selective(
@@ -132,81 +181,36 @@ def solve_selective(
     """Refine one realization to level ``level`` adaptively around ``y``.
 
     Accepts either a SampleId (the model draws the realization) or an
-    already drawn handle, so the level-l and level-(l-1) functionals of
-    a corrector can share one realization.
+    already drawn batch of one, such as ``SyntheticNormalModel.from_omega``
+    returns; its ``seed``, ``level`` and ``lo`` name the realization.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if rule not in ("certified", "printed"):
-        raise ValueError(f"unknown refinement rule {rule!r}")
-    sid, handle = _resolve_handle(model, sid_or_handle)
-
-    value, work = model.solve(handle, 1.0, 0)
-    steps = [SolveStep(0, 1.0, value, work)]
-    cost = work
-    iterations = 0
-
-    if rule == "certified":
-        t = 0
-        while t < level and schedule.tolerance(t) > abs(value - y):
-            t += 1
-            tol = schedule.tolerance(t)
-            value, work = model.solve(handle, tol, t)
-            steps.append(SolveStep(t, tol, value, work))
-            cost += work
-            iterations += 1
-        achieved = t
+    if isinstance(sid_or_handle, SampleId):
+        sid, handle = sid_or_handle, _draw_one(model, sid_or_handle)
     else:
-        achieved = 0
-        j = 0
-        while j <= level and schedule.tolerance(j) > abs(value - y):
-            tol = schedule.tolerance(j)
-            if not (skip_redundant and tol == schedule.tolerance(achieved)):
-                value, work = model.solve(handle, tol, j)
-                steps.append(SolveStep(j, tol, value, work))
-                cost += work
-            achieved = j
-            iterations += 1
-            j += 1
-
-    return RealizationState(sid, level, value, achieved, cost, iterations, steps)
-
-
-def solve_full(
-    model: ModelContract,
-    sid_or_handle: SampleId | Any,
-    level: int,
-    schedule: LevelSchedule,
-) -> RealizationState:
-    """Solve one realization straight to the level's target tolerance."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    sid, handle = _resolve_handle(model, sid_or_handle)
-    tol = schedule.tolerance(level)
-    value, work = model.solve(handle, tol, level)
-    return RealizationState(
-        sid, level, value, level, work, 0, [SolveStep(level, tol, value, work)]
+        handle = sid_or_handle
+        sid = SampleId(handle.seed, handle.level, handle.lo)
+    value, cost, stop, _, _ = _refine(
+        model, handle, 1, level, y, schedule, rule, skip_redundant
     )
+    return RealizationState(sid, level, float(value[0]), int(stop[0]), float(cost[0]))
 
 
 def assumption_holds(model: ModelContract, state: RealizationState, y: float,
                      schedule: LevelSchedule, handle: Any = None) -> bool:
     """Check the accuracy contract of a refined realization exactly.
 
-    Requires the model to expose ``exact_qoi``; used as a test oracle.
+    Requires the model to expose ``exact_batch``; used as a test oracle.
+    ``handle`` is the realization's batch of one, drawn from
+    ``state.sid`` when not given.
     """
     if handle is None:
-        if state.sid is None:
-            raise ValueError("need either a handle or a state with a SampleId")
-        handle = model.draw(state.sid)
-    exact = model.exact_qoi(handle)  # type: ignore[attr-defined]
+        handle = _draw_one(model, state.sid)
+    exact = float(model.exact_batch(handle)[0])  # type: ignore[attr-defined]
     err = abs(exact - state.value)
     return err <= schedule.tolerance(state.level) or err < abs(state.value - y)
 
-
-# ---------------------------------------------------------------------------
-# vectorized sampling of corrector batches
-# ---------------------------------------------------------------------------
 
 @dataclass
 class CorrectorBatch:
@@ -229,38 +233,6 @@ class CorrectorBatch:
     stop_index: np.ndarray
 
 
-def _batch_via_scalar(
-    model: ModelContract,
-    seed: int,
-    level: int,
-    lo: int,
-    hi: int,
-    y: float,
-    schedule: LevelSchedule,
-    rule: str,
-    skip_redundant: bool,
-) -> CorrectorBatch:
-    n = hi - lo
-    q_f = np.zeros(n, dtype=bool)
-    q_c = np.zeros(n, dtype=bool)
-    c_f = np.zeros(n, dtype=np.float64)
-    c_c = np.zeros(n, dtype=np.float64)
-    stop = np.zeros(n, dtype=np.int64)
-    for pos, i in enumerate(range(lo, hi)):
-        handle = model.draw(SampleId(seed, level, i))
-        fine = solve_selective(model, handle, level, y, schedule, rule, skip_redundant)
-        q_f[pos] = fine.value <= y
-        c_f[pos] = fine.cost
-        stop[pos] = fine.achieved_tolerance_index
-        if level >= 1:
-            coarse = solve_selective(
-                model, handle, level - 1, y, schedule, rule, skip_redundant
-            )
-            q_c[pos] = coarse.value <= y
-            c_c[pos] = coarse.cost
-    return CorrectorBatch(level, lo, hi, q_f, q_c, c_f, c_c, stop)
-
-
 def sample_corrector_batch(
     model: ModelContract,
     seed: int,
@@ -275,77 +247,15 @@ def sample_corrector_batch(
     """Draw and refine realizations lo..hi-1 of one level, both functionals.
 
     The level-l and level-(l-1) solves share each realization and its
-    tolerance-indexed randomness, so their refinement trajectories
-    coincide until the coarse one hits its cap: the pair costs little
-    more than the fine solve alone.  Uses the model's vectorized hooks
-    when present, otherwise falls back to the scalar loop above (the
-    two paths are bit-identical).
+    tolerance-indexed randomness, so the pair costs little more than
+    the fine solve alone.
     """
     if hi < lo:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
-    if not (hasattr(model, "draw_batch") and hasattr(model, "solve_batch")):
-        return _batch_via_scalar(
-            model, seed, level, lo, hi, y, schedule, rule, skip_redundant
-        )
-
     n = hi - lo
-    bh = model.draw_batch(seed, level, lo, hi)
-    everyone = np.arange(n, dtype=np.int64)
-    value, work = model.solve_batch(bh, everyone, 1.0, 0)
-    value = np.array(value, dtype=np.float64, copy=True)
-    cost_f = np.array(work, dtype=np.float64, copy=True)
-    stop = np.zeros(n, dtype=np.int64)
-    coarse_cap = level - 1
-    value_c = value.copy()
-    cost_c = cost_f.copy() if level >= 1 else np.zeros(n, dtype=np.float64)
-
-    if rule == "certified":
-        if level >= 1:
-            active = everyone[np.abs(value - y) < 1.0]
-            for t in range(1, level + 1):
-                if active.size == 0:
-                    break
-                tol = schedule.tolerance(t)
-                v, w = model.solve_batch(bh, active, tol, t)
-                value[active] = v
-                cost_f[active] += w
-                stop[active] = t
-                if t <= coarse_cap:
-                    value_c[active] = v
-                    cost_c[active] += w
-                active = active[np.abs(v - y) < tol]
-    elif rule == "printed":
-        active = everyone
-        for j in range(0, level + 1):
-            tol = schedule.tolerance(j)
-            active = active[np.abs(value[active] - y) < tol]
-            if active.size == 0:
-                break
-            if not (skip_redundant and j == 0):
-                v, w = model.solve_batch(bh, active, tol, j)
-                value[active] = v
-                cost_f[active] += w
-                if j <= coarse_cap:
-                    value_c[active] = v
-                    cost_c[active] += w
-            stop[active] = j
-    else:
-        raise ValueError(f"unknown refinement rule {rule!r}")
-
-    q_f = value <= y
+    batch = model.draw_batch(seed, level, lo, hi)
+    value, cost_f, stop, value_c, cost_c = _refine(
+        model, batch, n, level, y, schedule, rule, skip_redundant
+    )
     q_c = value_c <= y if level >= 1 else np.zeros(n, dtype=bool)
-    return CorrectorBatch(level, lo, hi, q_f, q_c, cost_f, cost_c, stop)
-
-
-def mean_selective_cost(states: Iterable[RealizationState]) -> float:
-    """Arithmetic mean of per-realization cost over states of one level."""
-    states = list(states)
-    if not states:
-        raise InsufficientSamplesError("mean_selective_cost needs at least one state")
-    level = states[0].level
-    for st in states:
-        if st.level != level:
-            raise ValueError(
-                f"states mix levels {level} and {st.level}; cost profiles are per level"
-            )
-    return float(np.mean([st.cost for st in states]))
+    return CorrectorBatch(level, lo, hi, value <= y, q_c, cost_f, cost_c, stop)

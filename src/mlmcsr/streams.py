@@ -83,12 +83,3 @@ def normal_at(key: int, counters: np.ndarray) -> np.ndarray:
     """Standard normals at the given counters (inverse-CDF transform)."""
     return ndtri(uniform_at(key, counters))
 
-
-def uniform_scalar(key: int, counter: int) -> float:
-    """Single uniform draw; bit-identical to ``uniform_at`` at the same spot."""
-    return float(uniform_at(key, np.array([counter], dtype=np.uint64))[0])
-
-
-def normal_scalar(key: int, counter: int) -> float:
-    """Single standard normal draw, bit-identical to the vector path."""
-    return float(normal_at(key, np.array([counter], dtype=np.uint64))[0])

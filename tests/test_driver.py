@@ -14,21 +14,23 @@ P_TRUE = standard_normal_cdf(Y)
 
 
 class ConstantModel:
-    """Scalar-only model whose answer never moves: X = value exactly."""
+    """Minimal batch-contract model whose answer never moves: X = value exactly."""
 
     name = "constant"
+    batch_chunk = 7  # small, so runs span several chunks
 
     def __init__(self, value):
         self.value = float(value)
 
-    def draw(self, sample):
-        return 0.0
+    def draw_batch(self, seed, level, lo, hi):
+        return hi - lo
 
     def work_units(self, tolerance):
         return 1.0 / tolerance
 
-    def solve(self, omega, tolerance, level):
-        return self.value, self.work_units(tolerance)
+    def solve_batch(self, batch, sel, tolerance, tol_index):
+        n = len(sel)
+        return np.full(n, self.value), np.full(n, self.work_units(tolerance))
 
 
 class OscillatingModel:
@@ -40,17 +42,19 @@ class OscillatingModel:
     """
 
     name = "oscillating"
+    batch_chunk = 1 << 16
 
-    def draw(self, sample):
-        return 0.0
+    def draw_batch(self, seed, level, lo, hi):
+        return hi - lo
 
     def work_units(self, tolerance):
         return 1.0 / tolerance
 
-    def solve(self, omega, tolerance, level):
+    def solve_batch(self, batch, sel, tolerance, tol_index):
         j = round(math.log(tolerance, 0.5))
         sign = 1.0 if j % 2 == 0 else -1.0
-        return Y + sign * 0.1 * tolerance, self.work_units(tolerance)
+        n = len(sel)
+        return np.full(n, Y + sign * 0.1 * tolerance), np.full(n, self.work_units(tolerance))
 
 
 def record_pairs_equal(a, b):
@@ -113,7 +117,7 @@ def test_thread_count_validated(runner):
 
 
 # ---------------------------------------------------------------------------
-# exactly solvable runs (constant model, scalar fallback path)
+# exactly solvable runs (constant model)
 # ---------------------------------------------------------------------------
 
 def test_constant_model_mlmc_sr_is_exact():

@@ -21,7 +21,6 @@ from mlmcsr.estimators import (
     corrector_moments,
     cost_per_sample,
     level0_moments,
-    mc_estimate,
     mlmc_combine,
     optimal_allocation,
     shrinkage_estimate,
@@ -148,16 +147,14 @@ def test_tally_merge_and_invariants():
 
 def test_cost_per_sample_point_values():
     sched = LevelSchedule(gamma=0.5, q=2.0)
-    assert cost_per_sample(3, sched, "full") == 64.0
-    assert cost_per_sample(3, sched, "selective") == 15.0
-    assert cost_per_sample(5, LevelSchedule(0.5, 1.0), "selective") == 6.0
+    assert cost_per_sample(3, sched) == 15.0
+    assert cost_per_sample(5, LevelSchedule(0.5, 1.0)) == 6.0
 
 
 def test_corrector_cost_sums_both_functionals():
     sched = LevelSchedule(gamma=0.5, q=1.0)
-    assert corrector_cost(0, sched, "full") == 1.0
-    assert corrector_cost(2, sched, "full") == 4.0 + 2.0
-    assert corrector_cost(3, sched, "selective") == 4.0 + 3.0
+    assert corrector_cost(0, sched) == 1.0
+    assert corrector_cost(3, sched) == 4.0 + 3.0
 
 
 def test_allocate_single_level_closed_form():
@@ -258,13 +255,6 @@ def test_mlmc_combine_equals_direct_mc_on_shared_samples():
     assert mlmc_combine(tallies) == pytest.approx(q[L].mean(), abs=1e-15)
 
 
-def test_mc_estimate():
-    assert mc_estimate([1, 1, 0, 0]) == 0.5
-    assert mc_estimate([0] * 50) == 0.0
-    with pytest.raises(InsufficientSamplesError):
-        mc_estimate([])
-
-
 def test_bias_bound_point_values():
     assert bias_bound(MomentEstimates(5, 0.04, 0.0), gamma=0.5) == pytest.approx(0.04)
     assert bias_bound(MomentEstimates(5, 0.0, 0.0), gamma=0.9) == 0.0
@@ -276,15 +266,21 @@ def test_bias_bound_point_values():
 def test_termination_check_point_cases():
     sched = LevelSchedule(gamma=0.5, q=1.0)
     zero = MomentEstimates(1, 0.0, 0.0)
-    assert termination_check(zero, zero, sched, epsilon=1e-9)
+    accepted, lhs, rhs = termination_check(zero, zero, sched, epsilon=1e-9)
+    assert accepted
+    assert lhs == 0.0 and rhs == pytest.approx(1e-9 / math.sqrt(2.0))
 
     prev = MomentEstimates(2, 0.02, 0.0)
     last = MomentEstimates(3, 0.005, 0.0)
-    assert not termination_check(prev, last, sched, epsilon=0.01)
+    accepted, lhs, rhs = termination_check(prev, last, sched, epsilon=0.01)
+    assert not accepted
+    assert lhs == 0.01 and lhs >= rhs  # gamma * 0.02 beats 0.005
 
     prev = MomentEstimates(2, 0.06, 0.0)
     last = MomentEstimates(3, 0.05, 0.0)
-    assert termination_check(prev, last, sched, epsilon=0.1)
+    accepted, lhs, rhs = termination_check(prev, last, sched, epsilon=0.1)
+    assert accepted
+    assert lhs == 0.05 and lhs < rhs
 
 
 @given(
@@ -298,8 +294,9 @@ def test_termination_monotone_in_epsilon(m_prev, m_last, eps, bump):
     sched = LevelSchedule(gamma=0.5, q=1.0)
     prev = MomentEstimates(2, m_prev, 0.0)
     last = MomentEstimates(3, m_last, 0.0)
-    if termination_check(prev, last, sched, eps):
-        assert termination_check(prev, last, sched, eps * bump)
+    accepted, _, _ = termination_check(prev, last, sched, eps)
+    if accepted:
+        assert termination_check(prev, last, sched, eps * bump)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +320,9 @@ def test_estimator_config_validation():
         EstimatorConfig(y=0.8, epsilon=0.1, refine_rule="eager")
     with pytest.raises(ValueError):
         EstimatorConfig(y=0.8, epsilon=0.1, N=0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(y=nan, epsilon=nan), dict(y=0.8, epsilon=inf),
+                dict(y=0.8, epsilon=0.1, q=nan, k=inf), dict(y=-inf, epsilon=0.1),
+                dict(y=0.8, epsilon=0.1, gamma=nan), dict(y=0.8, epsilon=0.1, k=inf)):
+        with pytest.raises(ValueError, match="finite"):
+            EstimatorConfig(**bad)

@@ -27,18 +27,20 @@ class OpaqueConstant:
     """Deterministic far-from-y model with no closed-form probability."""
 
     name = "constant-opaque"
+    batch_chunk = 1 << 16
 
     def __init__(self, value=-3.0):
         self.value = float(value)
 
-    def draw(self, sample):
-        return 0.0
+    def draw_batch(self, seed, level, lo, hi):
+        return hi - lo
 
     def work_units(self, tolerance):
         return 1.0 / tolerance
 
-    def solve(self, omega, tolerance, level):
-        return self.value, self.work_units(tolerance)
+    def solve_batch(self, batch, sel, tolerance, tol_index):
+        n = len(sel)
+        return np.full(n, self.value), np.full(n, self.work_units(tolerance))
 
 
 class RegisteredConstant(OpaqueConstant):
@@ -74,6 +76,12 @@ def test_config_json_round_trip():
     (dict(method="smc"), "method"),
     (dict(threads=0), "threads"),
     (dict(gamma=1.5), "gamma"),
+    (dict(epsilons=[0.1, float("nan")]), "finite"),
+    (dict(epsilons=[float("inf")]), "finite"),
+    (dict(y=float("nan")), "y must be finite"),
+    (dict(k=float("inf")), "k must be finite"),
+    (dict(reference_p=float("nan")), "reference_p"),
+    (dict(reference_stderr=float("inf")), "reference_stderr"),
 ])
 def test_config_validation(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -15,10 +15,29 @@ from mlmcsr.models import (
     build_model,
     standard_normal_cdf,
 )
-from mlmcsr.refinement import SampleId, sample_corrector_batch
+from mlmcsr.refinement import sample_corrector_batch
 
 Y = 0.8
 B = 0.1
+
+
+def solve_one(model, batch, tolerance, tol_index):
+    """Value and work of row 0 of ``batch`` solved to ``tolerance``."""
+    v, w = model.solve_batch(batch, np.array([0]), tolerance, tol_index)
+    return float(v[0]), float(w[0])
+
+
+def assert_draw_is_chunk_invariant(model, seed, level):
+    """Rows of one draw over [5, 15) equal the single-realization (one-row)
+    draws bit for bit."""
+    batch = model.draw_batch(seed, level, 5, 15)
+    for pos, idx in enumerate(range(5, 15)):
+        one = model.draw_batch(seed, level, idx, idx + 1)
+        np.testing.assert_array_equal(model.exact_batch(batch)[pos : pos + 1],
+                                      model.exact_batch(one))
+        for tol_index in (0, 3):
+            v, w = model.solve_batch(batch, np.array([pos]), 0.5 ** tol_index, tol_index)
+            assert (v[0], w[0]) == solve_one(model, one, 0.5 ** tol_index, tol_index)
 
 
 # ---------------------------------------------------------------------------
@@ -28,17 +47,17 @@ B = 0.1
 class TestSyntheticSolve:
     def test_plug_in_values_with_fixture_stream(self):
         model = SyntheticNormalModel(uniform_source=lambda l, i, j: 0.5)
-        v, w = model.solve(model.from_omega(0.0), 1.0, 0)
+        v, w = solve_one(model, model.from_omega(0.0), 1.0, 0)
         assert v == pytest.approx(0.0909090909090909, abs=1e-15)
-        v, _ = model.solve(model.from_omega(0.79), 0.25, 2)
+        v, _ = solve_one(model, model.from_omega(0.79), 0.25, 2)
         assert v == pytest.approx(0.8127272727272727, abs=1e-15)
 
     def test_boundary_uniforms(self):
         up = SyntheticNormalModel(uniform_source=lambda l, i, j: 1.0)
-        v, _ = up.solve(up.from_omega(0.3), 0.5, 1)
+        v, _ = solve_one(up, up.from_omega(0.3), 0.5, 1)
         assert v == pytest.approx(0.3 + 0.5)
         centered = SyntheticNormalModel(uniform_source=lambda l, i, j: (1 - B) / 2)
-        v, _ = centered.solve(centered.from_omega(0.3), 0.5, 1)
+        v, _ = solve_one(centered, centered.from_omega(0.3), 0.5, 1)
         assert v == pytest.approx(0.3, abs=1e-15)
 
     def test_work_units(self):
@@ -59,17 +78,14 @@ class TestSyntheticSolve:
 
     def test_solve_is_reproducible_per_tolerance_index(self):
         model = SyntheticNormalModel()
-        h = model.draw(SampleId(9, 2, 13))
-        assert model.solve(h, 0.25, 2) == model.solve(h, 0.25, 2)
-        v1, _ = model.solve(h, 0.25, 2)
-        v2, _ = model.solve(h, 0.25, 3)  # different index, fresh uniform
+        h = model.draw_batch(9, 2, 13, 14)
+        assert solve_one(model, h, 0.25, 2) == solve_one(model, h, 0.25, 2)
+        v1, _ = solve_one(model, h, 0.25, 2)
+        v2, _ = solve_one(model, h, 0.25, 3)  # different index, fresh uniform
         assert v1 != v2
 
     def test_batch_draw_matches_scalar_draw(self):
-        model = SyntheticNormalModel()
-        batch = model.draw_batch(77, 4, 100, 140)
-        for pos, idx in enumerate(range(100, 140)):
-            assert batch.omega[pos] == model.draw(SampleId(77, 4, idx)).omega
+        assert_draw_is_chunk_invariant(SyntheticNormalModel(), 77, 4)
 
 
 def test_standard_normal_cdf_values():
@@ -147,36 +163,36 @@ def test_elliptic_validation():
 
 
 def test_elliptic_draw_is_deterministic(elliptic):
-    a = elliptic.draw(SampleId(5, 2, 9))
-    b = elliptic.draw(SampleId(5, 2, 9))
+    a = elliptic.draw_batch(5, 2, 9, 10)
+    b = elliptic.draw_batch(5, 2, 9, 10)
     np.testing.assert_array_equal(a.fluxes, b.fluxes)
-    assert a.exact == b.exact
+    assert a.exact[0] == b.exact[0]
 
 
 def test_elliptic_master_grid_reproduces_exact_flux(elliptic):
-    h = elliptic.draw(SampleId(1, 0, 0))
-    v, w = elliptic.solve(h, 1e-300, 0)
-    assert v == elliptic.exact_qoi(h)  # bitwise: the master grid is the truth
+    h = elliptic.draw_batch(1, 0, 0, 1)
+    v, w = solve_one(elliptic, h, 1e-300, 0)
+    assert v == elliptic.exact_batch(h)[0]  # bitwise: the master grid is the truth
     assert w == 256.0
-    assert h.errors[-1] == 0.0
+    assert h.errors[0, -1] == 0.0
 
 
 def test_elliptic_selected_cells_monotone_in_tolerance(elliptic):
-    h = elliptic.draw(SampleId(2, 0, 3))
+    h = elliptic.draw_batch(2, 0, 3, 4)
     t, prev_cells = 1.0, 0.0
     for _ in range(20):
-        _, cells = elliptic.solve(h, t, 0)
+        _, cells = solve_one(elliptic, h, t, 0)
         assert cells >= prev_cells
         prev_cells = cells
         t /= 2.0
 
 
 def test_elliptic_flux_between_extreme_conductivities(elliptic):
-    # series-network bound against the dumped coefficient field
+    # series-network bound against the coefficient field
     for i in range(10):
         a = elliptic._field(3, 0, i)
-        h = elliptic.draw(SampleId(3, 0, i))
-        assert a.min() - 1e-12 <= h.exact <= a.max() + 1e-12
+        exact = elliptic.exact_batch(elliptic.draw_batch(3, 0, i, i + 1))[0]
+        assert a.min() - 1e-12 <= exact <= a.max() + 1e-12
 
 
 def test_elliptic_field_variance_and_correlation(elliptic):
@@ -207,32 +223,23 @@ def test_elliptic_error_decay_rate(elliptic):
 
 def test_elliptic_zero_variance_field():
     model = EllipticFlux1D(sigma=0.0, master_cells=64)
-    h = model.draw(SampleId(0, 0, 0))
-    assert h.exact == 1.0
-    v, w = model.solve(h, 0.5, 0)
+    h = model.draw_batch(0, 0, 0, 1)
+    assert h.exact[0] == 1.0
+    v, w = solve_one(model, h, 0.5, 0)
     assert v == 1.0 and w == 1.0  # constant field: coarsest grid is exact
 
 
-def test_elliptic_field_dump_round_trip(tmp_path):
-    model = EllipticFlux1D(master_cells=64, field_dump_dir=tmp_path)
-    h = model.draw(SampleId(4, 1, 7))
-    dumped = np.fromfile(tmp_path / "field_L1_i7.f64le", dtype="<f8")
-    assert dumped.size == 64
-    assert np.all(dumped > 0)
-    # the dumped field regenerates the cached exact flux bit for bit
-    assert model._coarse_flux(dumped, 64) == h.exact
-
-
 def test_elliptic_batch_draw_matches_scalar(elliptic):
-    batch = elliptic.draw_batch(13, 2, 5, 15)
-    for pos, idx in enumerate(range(5, 15)):
-        h = elliptic.draw(SampleId(13, 2, idx))
-        np.testing.assert_array_equal(batch.fluxes[pos], h.fluxes)
-        assert batch.exact[pos] == h.exact
+    assert_draw_is_chunk_invariant(elliptic, 13, 2)
 
 
 def test_elliptic_work_units_is_master_bound(elliptic):
-    assert elliptic.work_units(0.01) == 256.0
+    # the worst-case work of a solve is the master grid's cell count
+    batch = elliptic.draw_batch(8, 0, 0, 50)
+    _, works = elliptic.solve_batch(batch, np.arange(50), 1e-300, 0)
+    assert np.all(works == 256.0)
+    _, works = elliptic.solve_batch(batch, np.arange(50), 0.01, 0)
+    assert np.all(works <= 256.0)
     assert not hasattr(elliptic, "exact_probability")
 
 

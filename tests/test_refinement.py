@@ -1,19 +1,14 @@
-"""Selective refinement loop: hand traces, contract checks, batch parity."""
+"""Selective refinement kernel: hand traces, contract checks, reference loop."""
 
 import numpy as np
 import pytest
 
-from mlmcsr.estimators import InsufficientSamplesError, LevelSchedule
+from mlmcsr.estimators import LevelSchedule
 from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel
 from mlmcsr.refinement import (
-    RealizationState,
     SampleId,
-    SolveStep,
-    _batch_via_scalar,
     assumption_holds,
-    mean_selective_cost,
     sample_corrector_batch,
-    solve_full,
     solve_selective,
 )
 
@@ -24,6 +19,54 @@ Y = 0.8
 def fixture_model(q=2.0):
     """Synthetic model with the U = 0.5 fixture stream."""
     return SyntheticNormalModel(q=q, uniform_source=lambda level, index, j: 0.5)
+
+
+def reference_refine(model, handle, level, y, rule, skip_redundant=False):
+    """The refinement guards written as a scalar loop over one drawn row.
+
+    Independent of the kernel under test: every solve is a one-row
+    ``solve_batch`` call.  Returns (value, cost, achieved index).
+    """
+    def solve(tol, j):
+        v, w = model.solve_batch(handle, np.array([0]), tol, j)
+        return float(v[0]), float(w[0])
+
+    value, cost = solve(1.0, 0)
+    if rule == "certified":
+        t = 0
+        while t < level and SCHED.tolerance(t) > abs(value - y):
+            t += 1
+            value, work = solve(SCHED.tolerance(t), t)
+            cost += work
+        return value, cost, t
+    achieved = j = 0
+    while j <= level and SCHED.tolerance(j) > abs(value - y):
+        tol = SCHED.tolerance(j)
+        if not (skip_redundant and tol == SCHED.tolerance(achieved)):
+            value, work = solve(tol, j)
+            cost += work
+        achieved = j
+        j += 1
+    return value, cost, achieved
+
+
+def reference_batch(model, seed, level, lo, hi, rule, skip_redundant=False):
+    """Per-realization reference for ``sample_corrector_batch``: each row
+    drawn alone and refined by ``reference_refine`` for both functionals."""
+    n = hi - lo
+    q_f, q_c = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    c_f, c_c = np.zeros(n), np.zeros(n)
+    stop = np.zeros(n, dtype=np.int64)
+    for pos, i in enumerate(range(lo, hi)):
+        handle = model.draw_batch(seed, level, i, i + 1)
+        value, c_f[pos], stop[pos] = reference_refine(
+            model, handle, level, Y, rule, skip_redundant)
+        q_f[pos] = value <= Y
+        if level >= 1:
+            value, c_c[pos], _ = reference_refine(
+                model, handle, level - 1, Y, rule, skip_redundant)
+            q_c[pos] = value <= Y
+    return q_f, q_c, c_f, c_c, stop
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +80,11 @@ def test_printed_trace_flat_realization():
     # omega = 0: value 1/11 stays far from y, only j = 0 runs
     assert st.value == pytest.approx(0.0909090909090909, abs=1e-15)
     assert st.cost == 2.0
-    assert [s.tol_index for s in st.steps] == [0, 0]
-    assert st.steps[0].value == st.steps[1].value
+    # the whole trace runs at j = 0 (a tolerance-1 solve and its redundant
+    # re-solve): stopping at level 0 gives the same state
+    lvl0 = solve_selective(model, model.from_omega(0.0, level=2), 0, Y, SCHED, rule="printed")
+    assert (lvl0.value, lvl0.cost, lvl0.achieved_tolerance_index) == (st.value, st.cost, 0)
+    assert st.achieved_tolerance_index == 0
 
 
 def test_printed_trace_near_critical_realization():
@@ -47,8 +93,10 @@ def test_printed_trace_near_critical_realization():
     assert st.value == pytest.approx(0.8127272727272727, abs=1e-15)
     assert st.cost == 22.0  # 1 + 1 + 4 + 16
     assert st.achieved_tolerance_index == 2
-    traced = [round(s.value, 4) for s in st.steps]
-    assert traced == [0.8809, 0.8809, 0.8355, 0.8127]
+    h = model.from_omega(0.79, level=2)
+    traced = [solve_selective(model, h, lev, Y, SCHED, rule="printed") for lev in range(3)]
+    assert [round(s.value, 4) for s in traced] == [0.8809, 0.8355, 0.8127]
+    assert [s.cost for s in traced] == [2.0, 6.0, 22.0]  # 1 + 1, + 4, + 16
 
 
 def test_certified_trace_flat_realization():
@@ -75,8 +123,7 @@ def test_far_realization_costs_one_initial_solve():
     for rule in ("certified", "printed"):
         st = solve_selective(model, model.from_omega(-5.0, level=3), 3, Y, SCHED, rule=rule)
         assert st.cost == model.work_units(1.0)
-        assert st.iterations == 0
-        assert len(st.steps) == 1
+        assert st.achieved_tolerance_index == 0
 
 
 def test_skip_redundant_drops_only_the_duplicate():
@@ -89,20 +136,14 @@ def test_skip_redundant_drops_only_the_duplicate():
     assert slim.cost == full.cost - 1.0
 
 
-def test_solve_full_goes_straight_to_target():
-    model = fixture_model(q=2.0)
-    st = solve_full(model, model.from_omega(0.79), 3, SCHED)
-    assert st.value == pytest.approx(0.79 + 0.125 / 11.0)
-    assert st.cost == 64.0
-    assert st.achieved_tolerance_index == 3
-
-
 def test_cost_ledger_replays_exactly():
+    # the kernel's ledger equals the reference loop's sum of solve works
     model = SyntheticNormalModel(q=2.0)
     for i in range(30):
         st = solve_selective(model, SampleId(11, 4, i), 4, Y, SCHED)
-        assert st.cost == sum(s.work for s in st.steps)
-        assert st.iterations == len(st.steps) - 1
+        value, cost, achieved = reference_refine(
+            model, model.draw_batch(11, 4, i, i + 1), 4, Y, "certified")
+        assert (st.value, st.cost, st.achieved_tolerance_index) == (value, cost, achieved)
 
 
 def test_state_invariants_on_random_draws():
@@ -110,12 +151,13 @@ def test_state_invariants_on_random_draws():
     for i in range(200):
         st = solve_selective(model, SampleId(3, 5, i), 5, Y, SCHED)
         assert 0 <= st.achieved_tolerance_index <= 5
-        handle = model.draw(st.sid)
+        handle = model.draw_batch(st.sid.seed, st.sid.level, st.sid.index, st.sid.index + 1)
         assert assumption_holds(model, st, Y, SCHED, handle=handle)
         # outside-band exits decide the indicator exactly
-        err = abs(model.exact_qoi(handle) - st.value)
+        exact = model.exact_batch(handle)[0]
+        err = abs(exact - st.value)
         if err < abs(st.value - Y):
-            assert (st.value <= Y) == (model.exact_qoi(handle) <= Y)
+            assert (st.value <= Y) == (exact <= Y)
 
 
 def test_assumption_holds_on_elliptic_spot_sample():
@@ -125,16 +167,6 @@ def test_assumption_holds_on_elliptic_spot_sample():
         sid = SampleId(21, 4, i)
         st = solve_selective(model, sid, 4, 1.0, sched)
         assert assumption_holds(model, st, 1.0, sched)
-
-
-def test_mean_selective_cost():
-    mk = lambda c: RealizationState(None, 2, 0.0, 0, c, 0, [])
-    assert mean_selective_cost([mk(2.0), mk(22.0)]) == 12.0
-    with pytest.raises(InsufficientSamplesError):
-        mean_selective_cost([])
-    with pytest.raises(ValueError):
-        bad = RealizationState(None, 3, 0.0, 0, 5.0, 0, [])
-        mean_selective_cost([mk(2.0), bad])
 
 
 def test_rule_name_is_validated():
@@ -152,12 +184,12 @@ def test_rule_name_is_validated():
 def test_batch_matches_scalar_loop_bitwise(rule, level):
     for model in (SyntheticNormalModel(q=2.0), EllipticFlux1D(master_cells=128)):
         fast = sample_corrector_batch(model, 99, level, 10, 60, Y, SCHED, rule=rule)
-        slow = _batch_via_scalar(model, 99, level, 10, 60, Y, SCHED, rule, False)
-        np.testing.assert_array_equal(fast.q_fine, slow.q_fine)
-        np.testing.assert_array_equal(fast.q_coarse, slow.q_coarse)
-        np.testing.assert_array_equal(fast.cost_fine, slow.cost_fine)
-        np.testing.assert_array_equal(fast.cost_coarse, slow.cost_coarse)
-        np.testing.assert_array_equal(fast.stop_index, slow.stop_index)
+        q_f, q_c, c_f, c_c, stop = reference_batch(model, 99, level, 10, 60, rule)
+        np.testing.assert_array_equal(fast.q_fine, q_f)
+        np.testing.assert_array_equal(fast.q_coarse, q_c)
+        np.testing.assert_array_equal(fast.cost_fine, c_f)
+        np.testing.assert_array_equal(fast.cost_coarse, c_c)
+        np.testing.assert_array_equal(fast.stop_index, stop)
 
 
 def test_batch_respects_skip_redundant():
@@ -165,33 +197,9 @@ def test_batch_respects_skip_redundant():
     fast = sample_corrector_batch(
         model, 5, 3, 0, 500, Y, SCHED, rule="printed", skip_redundant=True
     )
-    slow = _batch_via_scalar(model, 5, 3, 0, 500, Y, SCHED, "printed", True)
-    np.testing.assert_array_equal(fast.cost_fine, slow.cost_fine)
-    np.testing.assert_array_equal(fast.q_fine, slow.q_fine)
-
-
-def test_batch_falls_back_without_vector_hooks():
-    class Scalarized:
-        """Contract-complete wrapper hiding the vector hooks."""
-
-        def __init__(self, inner):
-            self._inner = inner
-            self.name = inner.name
-
-        def draw(self, sid):
-            return self._inner.draw(sid)
-
-        def solve(self, handle, tolerance, tol_index):
-            return self._inner.solve(handle, tolerance, tol_index)
-
-        def work_units(self, tolerance):
-            return self._inner.work_units(tolerance)
-
-    inner = SyntheticNormalModel(q=1.0)
-    a = sample_corrector_batch(Scalarized(inner), 7, 3, 0, 80, Y, SCHED)
-    b = sample_corrector_batch(inner, 7, 3, 0, 80, Y, SCHED)
-    np.testing.assert_array_equal(a.q_fine, b.q_fine)
-    np.testing.assert_array_equal(a.cost_fine, b.cost_fine)
+    q_f, _, c_f, _, _ = reference_batch(model, 5, 3, 0, 500, "printed", skip_redundant=True)
+    np.testing.assert_array_equal(fast.cost_fine, c_f)
+    np.testing.assert_array_equal(fast.q_fine, q_f)
 
 
 def test_batch_coarse_is_fine_truncated():

@@ -7,10 +7,8 @@ from mlmcsr.streams import (
     derive_key,
     mix64,
     normal_at,
-    normal_scalar,
     raw_at,
     uniform_at,
-    uniform_scalar,
 )
 
 KEY = derive_key(12345, 3, 0)
@@ -27,15 +25,6 @@ def test_derive_key_order_sensitivity():
     assert derive_key(7, 1, 2) != derive_key(7, 2, 1)
     assert derive_key(7, 1) != derive_key(8, 1)
     assert derive_key(7, 0) != derive_key(7)
-
-
-def test_scalar_matches_vector_bitwise():
-    idx = np.arange(50, dtype=np.uint64)
-    u = uniform_at(KEY, idx)
-    z = normal_at(KEY, idx)
-    for i in (0, 1, 17, 49):
-        assert uniform_scalar(KEY, i) == u[i]
-        assert normal_scalar(KEY, i) == z[i]
 
 
 def test_counters_are_random_access():
