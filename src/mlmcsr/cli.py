@@ -32,9 +32,6 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the config's thread count")
     parser.add_argument("--method", choices=("mlmc-sr", "mc"), default=None,
                         help="override the config's method")
-    parser.add_argument("--skip-redundant", action="store_true",
-                        help="drop guard re-solves that repeat the previous "
-                             "tolerance (printed rule only)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +73,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         updates["threads"] = args.threads
     if args.method is not None:
         updates["method"] = args.method
-    if args.skip_redundant:
-        updates["skip_redundant"] = True
     return replace(cfg, **updates) if updates else cfg
 
 

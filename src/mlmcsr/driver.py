@@ -53,7 +53,6 @@ class LevelState:
     level: int
     tally: CorrectorTally
     moments: MomentEstimates | None = None
-    n_target: int = 0
     n_drawn: int = 0
     histogram: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cost: float = 0.0
@@ -137,18 +136,14 @@ def _extend_level(
     pool: ThreadPoolExecutor | None,
 ) -> None:
     """Draw and refine samples [n_drawn, target) of one level, in chunks."""
-    state.n_target = max(state.n_target, target)
-    lo, hi = state.n_drawn, state.n_target
+    lo, hi = state.n_drawn, target
     if hi <= lo:
         return
     sched = config.schedule
 
     def work(bounds):
         a, b = bounds
-        return sample_corrector_batch(
-            model, seed, state.level, a, b, config.y, sched,
-            rule=config.refine_rule, skip_redundant=config.skip_redundant,
-        )
+        return sample_corrector_batch(model, seed, state.level, a, b, config.y, sched)
 
     for batch in _map_chunks(work, lo, hi, model.batch_chunk, pool):
         n = batch.q_fine.size
@@ -330,7 +325,7 @@ def _run_mc_baseline(model, config, seed, pool):
                                  sum_q0=float(np.sum(q_all)),
                                  sum_q0_sq=float(np.sum(q_all * q_all)))
     state.moments = MomentEstimates(star, p_hat, s2)
-    state.n_target = state.n_drawn = n_mc
+    state.n_drawn = n_mc
     state.histogram[star] = n_mc
 
     raw = state.tally.sum_q0 / n_mc

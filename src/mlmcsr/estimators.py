@@ -77,10 +77,8 @@ class EstimatorConfig:
 
     ``N`` is the base of the mandatory sample size N * gamma**-L drawn
     whenever level L is opened; ``k`` is the shrinkage pseudo-count.
-    ``refine_rule`` selects the refinement guard: "certified" compares
-    the currently certified tolerance against |value - y| and is the
-    production default; "printed" compares the next tolerance on the
-    ladder (see refinement module for the difference).
+    Runs always refine with the certified guard (see the refinement
+    module).
     """
 
     y: float
@@ -89,8 +87,6 @@ class EstimatorConfig:
     q: float = 1.0
     N: int = 10
     k: float = 1.0
-    refine_rule: str = "certified"
-    skip_redundant: bool = False
     max_level: int = 30
 
     def __post_init__(self) -> None:
@@ -104,8 +100,6 @@ class EstimatorConfig:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.k <= 0.0:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.refine_rule not in ("certified", "printed"):
-            raise ValueError(f"unknown refine_rule {self.refine_rule!r}")
         if self.max_level < 2:
             raise ValueError(f"max_level must be >= 2, got {self.max_level}")
         LevelSchedule(self.gamma, self.q)  # validates gamma, q

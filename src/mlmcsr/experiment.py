@@ -17,13 +17,13 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .driver import RunRecord, run_mc_baseline, run_mlmc_sr
+from .driver import RunRecord, _worker_pool, run_mc_baseline, run_mlmc_sr
 from .estimators import EstimatorConfig, InsufficientSamplesError
 from .models import build_model
 
@@ -77,8 +77,6 @@ class ExperimentConfig:
     method: str = "mlmc-sr"
     output_dir: str | None = None
     threads: int = 1
-    refine_rule: str = "certified"
-    skip_redundant: bool = False
     max_level: int = 30
     reference_p: float | None = None
     reference_stderr: float | None = None
@@ -106,8 +104,7 @@ class ExperimentConfig:
     def estimator_config(self, epsilon: float) -> EstimatorConfig:
         return EstimatorConfig(
             y=self.y, epsilon=epsilon, gamma=self.gamma, q=self.q,
-            N=self.N, k=self.k, refine_rule=self.refine_rule,
-            skip_redundant=self.skip_redundant, max_level=self.max_level,
+            N=self.N, k=self.k, max_level=self.max_level,
         )
 
     def build_model(self):
@@ -350,22 +347,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     files: list[Path] = []
     seeds = [config.seed + i for i in range(config.runs)]
 
-    for idx, epsilon in enumerate(config.epsilons):
-        ecfg = config.estimator_config(epsilon)
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                records = list(pool.map(lambda s: runner(model, ecfg, s), seeds))
-        else:
-            records = [runner(model, ecfg, s) for s in seeds]
-        rows = [_run_row(rec, i, reference) for i, rec in enumerate(records)]
-        all_rows.extend(rows)
-        summaries.append(summarize_runs(rows))
-        if out is not None:
-            hist_path = out / f"histogram_e{idx}.csv"
-            histograms.append(emit_histogram(records, hist_path))
-            files.append(hist_path)
-        else:
-            histograms.append(emit_histogram(records))
+    with _worker_pool(config.threads) as pool:
+        for idx, epsilon in enumerate(config.epsilons):
+            run = partial(runner, model, config.estimator_config(epsilon))
+            records = list(pool.map(run, seeds) if pool is not None else map(run, seeds))
+            rows = [_run_row(rec, i, reference) for i, rec in enumerate(records)]
+            all_rows.extend(rows)
+            summaries.append(summarize_runs(rows))
+            if out is not None:
+                hist_path = out / f"histogram_e{idx}.csv"
+                histograms.append(emit_histogram(records, hist_path))
+                files.append(hist_path)
+            else:
+                histograms.append(emit_histogram(records))
 
     if out is not None:
         runs_path, summary_path = out / "runs.csv", out / "summary.csv"

@@ -47,10 +47,6 @@ def standard_normal_cdf(y: float) -> float:
 _REALIZATION_SLOT = 0
 
 
-def _slot_key(seed: int, level: int, slot: int) -> int:
-    return derive_key(seed, level, slot)
-
-
 # ---------------------------------------------------------------------------
 # synthetic normal model
 # ---------------------------------------------------------------------------
@@ -90,8 +86,8 @@ class SyntheticNormalModel:
         b: float = 0.1,
         uniform_source: Callable[[int, int, int], float] | None = None,
     ) -> None:
-        if q <= 0.0:
-            raise ModelInitError(f"work exponent q must be positive, got {q}")
+        if not (math.isfinite(q) and q > 0.0):
+            raise ModelInitError(f"work exponent q must be finite and positive, got {q}")
         if not -1.0 < b < 1.0:
             raise ModelInitError(f"skew b must lie in (-1, 1), got {b}")
         self.q = q
@@ -113,7 +109,7 @@ class SyntheticNormalModel:
 
     def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> _SyntheticBatch:
         idx = np.arange(lo, hi, dtype=np.uint64)
-        omega = normal_at(_slot_key(seed, level, _REALIZATION_SLOT), idx)
+        omega = normal_at(derive_key(seed, level, _REALIZATION_SLOT), idx)
         return _SyntheticBatch(seed, level, lo, idx, omega)
 
     def solve_batch(
@@ -128,7 +124,7 @@ class SyntheticNormalModel:
                 dtype=np.float64,
             )
         else:
-            key = _slot_key(batch.seed, batch.level, tol_index + 1)
+            key = derive_key(batch.seed, batch.level, tol_index + 1)
             u = uniform_at(key, batch.indices[sel])
         values = batch.omega[sel] + tolerance * (2.0 * u - 1.0 + self.b) / (1.0 + self.b)
         works = np.full(len(sel), self.work_units(tolerance))
@@ -153,14 +149,23 @@ class _EllipticBatch:
     exact: np.ndarray    # (n,)
 
 
+# field elements generated at once by ``EllipticFlux1D.draw_batch``: bounds
+# the temporaries of a chunk independently of the master grid size
+_FIELD_BLOCK = 1 << 17
+
+
 class EllipticFlux1D:
     """Effective flux through a random layered medium on the unit interval.
 
     The log-conductivity is a stationary Gaussian field with covariance
     sigma**2 * exp(-|x1 - x2| / rho), sampled at the midpoints of a
-    fine master grid through a dense Cholesky factor of the covariance
-    matrix (factored once per instance; a jitter of 1e-10 * sigma**2 is
-    added to the diagonal if rounding spoils positive definiteness).
+    fine master grid of m cells.  On uniform midpoints that covariance
+    is the AR(1) (Kac-Murdock-Szego) matrix, whose Cholesky factor is
+    exactly the recursion
+
+        g_0 = sigma * z_0,  g_i = phi * g_(i-1) + sigma * sqrt(1 - phi**2) * z_i,
+
+    with phi = exp(-1 / (m * rho)), so a realization costs O(m).
     Under a unit pressure drop the exact flux is the harmonic mean
     formula X = 1 / sum_i(h / a_i) on the master grid.
 
@@ -182,10 +187,11 @@ class EllipticFlux1D:
         rho: float = 0.1,
         master_cells: int = 4096,
     ) -> None:
-        if sigma < 0.0:
-            raise ModelInitError(f"sigma must be >= 0, got {sigma}")
-        if rho <= 0.0:
-            raise ModelInitError(f"correlation length rho must be positive, got {rho}")
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ModelInitError(f"sigma must be finite and >= 0, got {sigma}")
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise ModelInitError(
+                f"correlation length rho must be finite and positive, got {rho}")
         m = int(master_cells)
         if m < 1 or m & (m - 1):
             raise ModelInitError(f"master_cells must be a power of two, got {master_cells}")
@@ -193,48 +199,40 @@ class EllipticFlux1D:
         self.rho = rho
         self.master_cells = m
         self._grids = [2 ** g for g in range(m.bit_length())]  # 1, 2, ..., m
-        self._chol = self._factor_covariance()
+        # AR(1) coefficient phi and innovation scale sigma * sqrt(1 - phi**2)
+        self._phi = math.exp(-1.0 / (m * rho))
+        self._innovation = sigma * math.sqrt(-math.expm1(-2.0 / (m * rho)))
 
-    def _factor_covariance(self) -> np.ndarray:
+    def _fields(self, seed: int, level: int, lo: int, hi: int) -> np.ndarray:
+        """Coefficient fields of realizations lo..hi-1, one C-contiguous row each.
+
+        The normals of row ``index`` sit at counters index*m .. index*m + m-1;
+        the AR(1) recursion runs as log2(m) whole-array doubling steps.
+        """
         m = self.master_cells
-        if self.sigma == 0.0:
-            return np.zeros((m, m))
-        x = (np.arange(m) + 0.5) / m
-        cov = self.sigma ** 2 * np.exp(-np.abs(x[:, None] - x[None, :]) / self.rho)
-        try:
-            return np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * self.sigma ** 2
-            try:
-                return np.linalg.cholesky(cov + jitter * np.eye(m))
-            except np.linalg.LinAlgError as exc:
-                raise ModelInitError(
-                    f"covariance factorization failed even with jitter {jitter}"
-                ) from exc
-
-    # -- field and flux machinery -------------------------------------------
-
-    def _field(self, seed: int, level: int, index: int) -> np.ndarray:
-        """Coefficient field of one realization (always via the same matvec)."""
-        m = self.master_cells
-        key = _slot_key(seed, level, _REALIZATION_SLOT)
-        base = np.uint64(index) * np.uint64(m)
-        z = normal_at(key, base + np.arange(m, dtype=np.uint64))
-        return np.exp(self._chol @ z)
-
-    def _coarse_flux(self, a: np.ndarray, cells: int) -> float:
-        """Flux on a ``cells``-cell grid of arithmetically averaged coefficients."""
-        a_bar = a.reshape(cells, -1).mean(axis=1)
-        resistance = (1.0 / cells) * np.sum(1.0 / a_bar)
-        return 1.0 / resistance
+        key = derive_key(seed, level, _REALIZATION_SLOT)
+        g = normal_at(key, np.arange(lo * m, hi * m, dtype=np.uint64)).reshape(hi - lo, m)
+        g[:, 0] *= self.sigma
+        g[:, 1:] *= self._innovation
+        s = 1
+        while s < m:
+            g[:, s:] += self._phi ** s * g[:, :-s]
+            s *= 2
+        return np.exp(g, out=g)
 
     def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> _EllipticBatch:
-        n = hi - lo
         grids = self._grids
-        fluxes = np.empty((n, len(grids)))
-        for row, index in enumerate(range(lo, hi)):
-            a = self._field(seed, level, index)
-            fluxes[row] = [self._coarse_flux(a, c) for c in grids]
+        fluxes = np.empty((hi - lo, len(grids)))
+        block = max(1, _FIELD_BLOCK // self.master_cells)
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            a_bar = self._fields(seed, level, start, stop)
+            # master grid first, then pool neighbouring cells pairwise
+            for col in range(len(grids) - 1, -1, -1):
+                resistance = (1.0 / grids[col]) * np.sum(1.0 / a_bar, axis=1)
+                fluxes[start - lo : stop - lo, col] = 1.0 / resistance
+                if col:
+                    a_bar = 0.5 * (a_bar[:, 0::2] + a_bar[:, 1::2])
         exact = fluxes[:, -1].copy()  # master grid: averaging is the identity
         errors = np.abs(fluxes - exact[:, None])
         idx = np.arange(lo, hi, dtype=np.int64)

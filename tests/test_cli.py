@@ -1,9 +1,14 @@
 """Command-line behaviour: happy paths and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mlmcsr
 from mlmcsr.cli import main
 from mlmcsr.driver import run_mlmc_sr
 from mlmcsr.estimators import EstimatorConfig
@@ -128,8 +133,12 @@ def test_version_flag():
     assert info.value.code == 0
 
 
-def test_skip_redundant_flag_round_trips(config_path, capsys):
-    # printed rule plus the skip produces a run too; just exercise the flag
-    assert main(["estimate", "--config", str(config_path),
-                 "--skip-redundant"]) == 0
-    assert "estimate_raw" in capsys.readouterr().out
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal alone costs over a second and ~50 MB at import
+    src = str(Path(mlmcsr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, mlmcsr, mlmcsr.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

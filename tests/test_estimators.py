@@ -317,8 +317,6 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(y=0.8, epsilon=0.0)
     with pytest.raises(ValueError):
-        EstimatorConfig(y=0.8, epsilon=0.1, refine_rule="eager")
-    with pytest.raises(ValueError):
         EstimatorConfig(y=0.8, epsilon=0.1, N=0)
     nan, inf = float("nan"), float("inf")
     for bad in (dict(y=nan, epsilon=nan), dict(y=0.8, epsilon=inf),

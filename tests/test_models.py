@@ -1,5 +1,6 @@
 """Both shipped models: certified tolerances, exact oracles, field statistics."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.integrate
 import scipy.stats
 
 from mlmcsr.estimators import LevelSchedule
+from mlmcsr.experiment import ExperimentConfig
 from mlmcsr.models import (
     EllipticFlux1D,
     ModelInitError,
@@ -16,6 +18,7 @@ from mlmcsr.models import (
     standard_normal_cdf,
 )
 from mlmcsr.refinement import sample_corrector_batch
+from mlmcsr.streams import derive_key, normal_at
 
 Y = 0.8
 B = 0.1
@@ -142,6 +145,9 @@ def test_synthetic_rejects_bad_parameters():
         SyntheticNormalModel(q=0.0)
     with pytest.raises(ModelInitError):
         SyntheticNormalModel(b=1.0)
+    for bad in (dict(q=math.nan), dict(q=math.inf), dict(b=math.nan), dict(b=-math.inf)):
+        with pytest.raises(ModelInitError):
+            SyntheticNormalModel(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,14 @@ def test_elliptic_validation():
         EllipticFlux1D(sigma=-1.0)
     with pytest.raises(ModelInitError):
         EllipticFlux1D(rho=0.0)
+    for bad in (dict(sigma=math.nan), dict(sigma=math.inf), dict(rho=math.nan),
+                dict(rho=math.inf)):
+        with pytest.raises(ModelInitError):
+            EllipticFlux1D(**bad)
+    with pytest.raises(ModelInitError):
+        ExperimentConfig.from_json(json.dumps({
+            "model": {"name": "elliptic-flux-1d", "params": {"rho": math.nan}},
+            "y": 0.9, "epsilons": [0.1], "runs": 1})).build_model()
 
 
 def test_elliptic_draw_is_deterministic(elliptic):
@@ -187,10 +201,29 @@ def test_elliptic_selected_cells_monotone_in_tolerance(elliptic):
         t /= 2.0
 
 
+def cholesky_fields(model, seed, level, lo, hi):
+    """Fields of rows lo..hi-1 through a dense Cholesky factor of the
+    covariance sigma**2 * exp(-|x1 - x2| / rho) on the master midpoints."""
+    m = model.master_cells
+    x = (np.arange(m) + 0.5) / m
+    cov = model.sigma ** 2 * np.exp(-np.abs(x[:, None] - x[None, :]) / model.rho)
+    chol = np.linalg.cholesky(cov) if model.sigma > 0.0 else np.zeros((m, m))
+    z = normal_at(derive_key(seed, level, 0), np.arange(lo * m, hi * m, dtype=np.uint64))
+    return np.exp(z.reshape(hi - lo, m) @ chol.T)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("rho", [0.1, 0.01])
+def test_elliptic_fields_match_dense_cholesky(sigma, rho):
+    model = EllipticFlux1D(sigma=sigma, rho=rho, master_cells=64)
+    fields = model._fields(17, 3, 40, 240)
+    np.testing.assert_allclose(fields, cholesky_fields(model, 17, 3, 40, 240),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_elliptic_flux_between_extreme_conductivities(elliptic):
     # series-network bound against the coefficient field
-    for i in range(10):
-        a = elliptic._field(3, 0, i)
+    for i, a in enumerate(elliptic._fields(3, 0, 0, 10)):
         exact = elliptic.exact_batch(elliptic.draw_batch(3, 0, i, i + 1))[0]
         assert a.min() - 1e-12 <= exact <= a.max() + 1e-12
 
@@ -199,9 +232,7 @@ def test_elliptic_field_variance_and_correlation(elliptic):
     n = 10_000
     m = elliptic.master_cells
     probes = [0, m // 3, m // 2, m - 1]
-    rows = np.empty((n, m))
-    for i in range(n):
-        rows[i] = np.log(elliptic._field(60, 0, i))
+    rows = np.log(elliptic._fields(60, 0, 0, n))
     kappa = rows[:, probes]
     var = kappa.var(axis=0)
     assert np.all(var > 0.94) and np.all(var < 1.06)
