@@ -35,6 +35,7 @@ from .estimators import (
     bias_bound,
     optimal_allocation,
     termination_check,
+    is_integer,
 )
 from .refinement import ModelContract, sample_corrector_batch
 
@@ -107,8 +108,8 @@ class NonConvergenceError(RuntimeError):
 @contextmanager
 def _worker_pool(threads: int):
     """A thread pool for ``threads`` > 1; None (work runs inline) for 1."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if not (is_integer(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if threads == 1:
         yield None
         return
@@ -148,16 +149,16 @@ def _extend_level(
     for batch in _map_chunks(work, lo, hi, model.batch_chunk, pool):
         n = batch.q_fine.size
         if state.level == 0:
-            q = batch.q_fine.astype(np.float64)
+            # a float sum of 0/1 indicators is exact, so it is the hit count
+            hits = float(np.count_nonzero(batch.q_fine))
             state.tally.merge(CorrectorTally(
-                0, n=n, n_plus=0, n_minus=0,
-                sum_q0=float(np.sum(q)), sum_q0_sq=float(np.sum(q * q)),
+                0, n=n, n_plus=0, n_minus=0, sum_q0=hits, sum_q0_sq=hits,
             ))
         else:
-            d = batch.q_fine.astype(np.int64) - batch.q_coarse.astype(np.int64)
             state.tally.merge(CorrectorTally(
                 state.level, n=n,
-                n_plus=int(np.sum(d > 0)), n_minus=int(np.sum(d < 0)),
+                n_plus=int(np.count_nonzero(batch.q_fine > batch.q_coarse)),
+                n_minus=int(np.count_nonzero(batch.q_fine < batch.q_coarse)),
             ))
         state.histogram += np.bincount(batch.stop_index, minlength=state.level + 1)
         state.cost += float(np.sum(batch.cost_fine) + np.sum(batch.cost_coarse))

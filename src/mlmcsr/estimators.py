@@ -18,6 +18,7 @@ when counts are small.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,6 +49,12 @@ class InsufficientSamplesError(ValueError):
     """Raised when an estimate is requested from too small a tally."""
 
 
+def is_integer(value) -> bool:
+    """True for an integer (numpy's included) that is not a bool: what a
+    count, a level or a seed must be."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LevelSchedule:
     """Geometric accuracy ladder: level l is solved to tolerance gamma**l.
@@ -62,8 +69,8 @@ class LevelSchedule:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.q <= 0.0:
-            raise ValueError(f"q must be positive, got {self.q}")
+        if not (math.isfinite(self.q) and self.q > 0.0):
+            raise ValueError(f"q must be finite and positive, got {self.q}")
 
     def tolerance(self, level: int) -> float:
         if level < 0:
@@ -94,6 +101,10 @@ class EstimatorConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("N", "max_level"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.N < 1:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .driver import RunRecord, _worker_pool, run_mc_baseline, run_mlmc_sr
-from .estimators import EstimatorConfig, InsufficientSamplesError
+from .estimators import EstimatorConfig, InsufficientSamplesError, is_integer
 from .models import build_model
 
 __all__ = [
@@ -90,6 +90,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("runs", "seed", "threads"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.method not in _METHODS:

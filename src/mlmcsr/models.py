@@ -10,6 +10,11 @@ same (realization, tolerance index) reproduce the same value bit for
 bit; ``batch_chunk`` is the chunk size the drivers draw in.  A single
 realization is a batch of one.  ``exact_batch`` and, where a closed
 form exists, ``exact_probability`` are test oracles.
+
+The sampling path keeps each chunk's arrays small (a few hundred KiB)
+and writes into arrays it already holds where it can: large temporaries
+freed and allocated again on every chunk go back to the operating
+system and cost fresh page faults each time.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .estimators import is_integer
 from .streams import derive_key, normal_at, uniform_at
 
 __all__ = [
@@ -78,7 +84,7 @@ class SyntheticNormalModel:
     """
 
     name = "synthetic-normal"
-    batch_chunk = 1 << 16
+    batch_chunk = 1 << 14
 
     def __init__(
         self,
@@ -126,9 +132,14 @@ class SyntheticNormalModel:
         else:
             key = derive_key(batch.seed, batch.level, tol_index + 1)
             u = uniform_at(key, batch.indices[sel])
-        values = batch.omega[sel] + tolerance * (2.0 * u - 1.0 + self.b) / (1.0 + self.b)
-        works = np.full(len(sel), self.work_units(tolerance))
-        return values, works
+        # omega + tolerance * (2u - 1 + b) / (1 + b), in place, in that order
+        u *= 2.0
+        u -= 1.0
+        u += self.b
+        u *= tolerance
+        u /= 1.0 + self.b
+        u += batch.omega[sel]
+        return u, np.full(len(sel), self.work_units(tolerance))
 
     def exact_batch(self, batch: _SyntheticBatch) -> np.ndarray:
         return batch.omega
@@ -150,8 +161,8 @@ class _EllipticBatch:
 
 
 # field elements generated at once by ``EllipticFlux1D.draw_batch``: bounds
-# the temporaries of a chunk independently of the master grid size
-_FIELD_BLOCK = 1 << 17
+# its buffers (256 KiB each) independently of the master grid size
+_FIELD_BLOCK = 1 << 15
 
 
 class EllipticFlux1D:
@@ -192,6 +203,8 @@ class EllipticFlux1D:
         if not (math.isfinite(rho) and rho > 0.0):
             raise ModelInitError(
                 f"correlation length rho must be finite and positive, got {rho}")
+        if not is_integer(master_cells):
+            raise ModelInitError(f"master_cells must be an integer, got {master_cells!r}")
         m = int(master_cells)
         if m < 1 or m & (m - 1):
             raise ModelInitError(f"master_cells must be a power of two, got {master_cells}")
@@ -204,35 +217,59 @@ class EllipticFlux1D:
         self._innovation = sigma * math.sqrt(-math.expm1(-2.0 / (m * rho)))
 
     def _fields(self, seed: int, level: int, lo: int, hi: int) -> np.ndarray:
-        """Coefficient fields of realizations lo..hi-1, one C-contiguous row each.
+        """Coefficient fields of realizations lo..hi-1, one C-contiguous row each."""
+        n = (hi - lo) * self.master_cells
+        counters = np.arange(lo * self.master_cells, hi * self.master_cells, dtype=np.uint64)
+        return self._fill_fields(seed, level, counters, np.empty(n), np.empty(n))
+
+    def _fill_fields(self, seed: int, level: int, counters: np.ndarray,
+                     field: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Fields of the rows whose normals sit at ``counters``, in ``field``.
 
         The normals of row ``index`` sit at counters index*m .. index*m + m-1;
-        the AR(1) recursion runs as log2(m) whole-array doubling steps.
+        the AR(1) recursion runs as log2(m) whole-array doubling steps, with
+        ``scratch`` (as large as ``field``) holding each step's products.
         """
         m = self.master_cells
         key = derive_key(seed, level, _REALIZATION_SLOT)
-        g = normal_at(key, np.arange(lo * m, hi * m, dtype=np.uint64)).reshape(hi - lo, m)
+        g = normal_at(key, counters, out=field).reshape(-1, m)
+        step = scratch.reshape(-1, m)
         g[:, 0] *= self.sigma
         g[:, 1:] *= self._innovation
         s = 1
         while s < m:
-            g[:, s:] += self._phi ** s * g[:, :-s]
+            np.multiply(g[:, :-s], self._phi ** s, out=step[:, :-s])
+            g[:, s:] += step[:, :-s]
             s *= 2
         return np.exp(g, out=g)
 
     def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> _EllipticBatch:
-        grids = self._grids
+        m, grids = self.master_cells, self._grids
         fluxes = np.empty((hi - lo, len(grids)))
-        block = max(1, _FIELD_BLOCK // self.master_cells)
+        block = max(1, _FIELD_BLOCK // m)
+        # one workspace per call, reused by every block: never kept on the
+        # model, whose draws may run on several threads at once
+        rows = min(block, hi - lo)
+        counters = np.arange(lo * m, (lo + rows) * m, dtype=np.uint64)
+        field, scratch = np.empty(rows * m), np.empty(rows * m)
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
-            a_bar = self._fields(seed, level, start, stop)
-            # master grid first, then pool neighbouring cells pairwise
+            n = stop - start
+            a_bar = self._fill_fields(seed, level, counters[: n * m], field[: n * m],
+                                      scratch[: n * m])
+            # master grid first, then pool neighbouring cells pairwise; the
+            # reciprocals and pair sums go to scratch, the means to field
             for col in range(len(grids) - 1, -1, -1):
-                resistance = (1.0 / grids[col]) * np.sum(1.0 / a_bar, axis=1)
+                width = grids[col]
+                inverse = np.divide(1.0, a_bar, out=scratch[: n * width].reshape(n, width))
+                resistance = (1.0 / width) * np.sum(inverse, axis=1)
                 fluxes[start - lo : stop - lo, col] = 1.0 / resistance
                 if col:
-                    a_bar = 0.5 * (a_bar[:, 0::2] + a_bar[:, 1::2])
+                    half = width // 2
+                    pairs = np.add(a_bar[:, 0::2], a_bar[:, 1::2],
+                                   out=scratch[: n * half].reshape(n, half))
+                    a_bar = np.multiply(pairs, 0.5, out=field[: n * half].reshape(n, half))
+            counters += np.uint64(block * m)
         exact = fluxes[:, -1].copy()  # master grid: averaging is the identity
         errors = np.abs(fluxes - exact[:, None])
         idx = np.arange(lo, hi, dtype=np.int64)

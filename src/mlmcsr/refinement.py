@@ -71,8 +71,12 @@ class ModelContract(Protocol):
     ``solve_batch(batch, sel, tolerance, tol_index)`` returns (values,
     works) for the selected rows with the hard guarantee
     |X - value| <= tolerance; repeated calls with the same tol_index
-    return the same values.  ``batch_chunk`` is the number of
-    realizations the drivers hand to one ``draw_batch`` call.
+    return the same values.  Both are new float64 arrays owned by the
+    caller, which refines them in place.  ``batch_chunk`` is the number
+    of realizations the drivers hand to one ``draw_batch`` call; keep a
+    chunk's arrays to a few hundred KiB, because large per-chunk
+    temporaries go back to the operating system when freed and cost
+    fresh page faults on every chunk.
 
     Models may additionally provide ``exact_batch(batch)`` and
     ``exact_probability(y)`` as test oracles.
@@ -124,9 +128,7 @@ def _refine(
     if rule not in ("certified", "printed"):
         raise ValueError(f"unknown refinement rule {rule!r}")
     everyone = np.arange(n, dtype=np.int64)
-    value, work = model.solve_batch(batch, everyone, 1.0, 0)
-    value = np.array(value, dtype=np.float64, copy=True)
-    cost_f = np.array(work, dtype=np.float64, copy=True)
+    value, cost_f = model.solve_batch(batch, everyone, 1.0, 0)
     stop = np.zeros(n, dtype=np.int64)
     coarse_cap = level - 1
     value_c = value.copy()
@@ -134,7 +136,7 @@ def _refine(
 
     if rule == "certified":
         if level >= 1:
-            active = everyone[np.abs(value - y) < 1.0]
+            active = np.flatnonzero(np.abs(value - y) < 1.0)
             for t in range(1, level + 1):
                 if active.size == 0:
                     break

@@ -52,34 +52,51 @@ def derive_key(seed: int, *salts: int) -> int:
     return key
 
 
-def raw_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """64-bit words of the stream ``key`` at the given counter positions."""
+def _counter_words(key: int, counters: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 outputs at ``counters`` in a fresh array; ``scratch`` is a
+    uint64 array of the same shape that the shifts write into."""
     z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)
-    z = z * _N_GOLDEN
+    z *= _N_GOLDEN
     z += np.uint64(key)
-    t = np.empty_like(z)
-    np.right_shift(z, np.uint64(30), out=t)
-    np.bitwise_xor(z, t, out=z)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
     np.multiply(z, _N_MIX_A, out=z)
-    np.right_shift(z, np.uint64(27), out=t)
-    np.bitwise_xor(z, t, out=z)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
     np.multiply(z, _N_MIX_B, out=z)
-    np.right_shift(z, np.uint64(31), out=t)
-    np.bitwise_xor(z, t, out=z)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
     return z
 
 
-def uniform_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in the open interval (0, 1) at the given counters."""
-    z = raw_at(key, counters)
+def raw_at(key: int, counters: np.ndarray) -> np.ndarray:
+    """64-bit words of the stream ``key`` at the given counter positions."""
+    counters = np.asarray(counters)
+    return _counter_words(key, counters, np.empty(counters.shape, dtype=np.uint64))
+
+
+def uniform_at(key: int, counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms in the open interval (0, 1) at the given counters.
+
+    ``out``, a float64 array of the counters' shape, receives the result
+    and serves as the shift scratch on the way; it must not share memory
+    with ``counters``, which are never written.
+    """
+    counters = np.asarray(counters)
+    if out is None:
+        out = np.empty(counters.shape, dtype=np.float64)
+    z =_counter_words(key, counters, out.view(np.uint64))
     np.right_shift(z, np.uint64(11), out=z)
-    u = z.astype(np.float64)
-    u += 0.5
-    u *= _U53
-    return u
+    out[...] = z
+    out += 0.5
+    out *= _U53
+    return out
 
 
-def normal_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """Standard normals at the given counters (inverse-CDF transform)."""
-    return ndtri(uniform_at(key, counters))
+def normal_at(key: int, counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals at the given counters (inverse-CDF transform).
 
+    ``out`` is filled and returned as in ``uniform_at``.
+    """
+    u = uniform_at(key, counters, out)
+    return ndtri(u, out=u)

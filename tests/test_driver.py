@@ -7,7 +7,7 @@ import pytest
 
 from mlmcsr.driver import NonConvergenceError, run_mc_baseline, run_mlmc_sr
 from mlmcsr.estimators import EstimatorConfig
-from mlmcsr.models import SyntheticNormalModel, standard_normal_cdf
+from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel, standard_normal_cdf
 
 Y = 0.8
 P_TRUE = standard_normal_cdf(Y)
@@ -100,6 +100,17 @@ def test_thread_count_does_not_change_mc_baseline():
     record_pairs_equal(one, many)
 
 
+def test_thread_count_does_not_change_elliptic_mlmc_sr():
+    # each draw_batch call builds its own field workspace, so two threads
+    # drawing chunks of one model at once cannot see each other's buffers
+    model = EllipticFlux1D(master_cells=64)
+    cfg = EstimatorConfig(y=0.99, epsilon=0.01)
+    one = run_mlmc_sr(model, cfg, seed=6, threads=1)
+    two = run_mlmc_sr(model, cfg, seed=6, threads=2)
+    assert one.per_level[0].n_drawn > model.batch_chunk
+    record_pairs_equal(one, two)
+
+
 def test_different_seeds_differ():
     model = SyntheticNormalModel(q=1.0)
     cfg = EstimatorConfig(y=Y, epsilon=0.05)
@@ -114,6 +125,8 @@ def test_thread_count_validated(runner):
     cfg = EstimatorConfig(y=Y, epsilon=0.1)
     with pytest.raises(ValueError):
         runner(model, cfg, seed=0, threads=0)
+    with pytest.raises(ValueError):
+        runner(model, cfg, seed=0, threads=1.5)
 
 
 # ---------------------------------------------------------------------------

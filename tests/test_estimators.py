@@ -308,6 +308,9 @@ def test_level_schedule_validation():
         LevelSchedule(gamma=1.0)
     with pytest.raises(ValueError):
         LevelSchedule(gamma=0.5, q=0.0)
+    for q in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            LevelSchedule(0.5, q)
     assert LevelSchedule(0.5, 2.0).tolerance(3) == 0.125
 
 
@@ -324,3 +327,6 @@ def test_estimator_config_validation():
                 dict(y=0.8, epsilon=0.1, gamma=nan), dict(y=0.8, epsilon=0.1, k=inf)):
         with pytest.raises(ValueError, match="finite"):
             EstimatorConfig(**bad)
+    for bad in (dict(N=2.5), dict(N=True), dict(max_level=7.5), dict(max_level="9")):
+        with pytest.raises(ValueError, match="integer"):
+            EstimatorConfig(y=0.8, epsilon=0.1, **bad)

@@ -82,6 +82,12 @@ def test_config_json_round_trip():
     (dict(k=float("inf")), "k must be finite"),
     (dict(reference_p=float("nan")), "reference_p"),
     (dict(reference_stderr=float("inf")), "reference_stderr"),
+    (dict(runs=2.5), "runs must be an integer"),
+    (dict(seed=1.5), "seed must be an integer"),
+    (dict(threads=1.5), "threads must be an integer"),
+    (dict(threads=True), "threads must be an integer"),
+    (dict(N=2.5), "N must be an integer"),
+    (dict(max_level=7.5), "max_level must be an integer"),
 ])
 def test_config_validation(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):

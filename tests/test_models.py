@@ -10,6 +10,7 @@ import scipy.stats
 
 from mlmcsr.estimators import LevelSchedule
 from mlmcsr.experiment import ExperimentConfig
+from mlmcsr import models
 from mlmcsr.models import (
     EllipticFlux1D,
     ModelInitError,
@@ -167,7 +168,8 @@ def test_elliptic_validation():
     with pytest.raises(ModelInitError):
         EllipticFlux1D(rho=0.0)
     for bad in (dict(sigma=math.nan), dict(sigma=math.inf), dict(rho=math.nan),
-                dict(rho=math.inf)):
+                dict(rho=math.inf), dict(master_cells=512.7), dict(master_cells=True),
+                dict(master_cells="512")):
         with pytest.raises(ModelInitError):
             EllipticFlux1D(**bad)
     with pytest.raises(ModelInitError):
@@ -262,6 +264,20 @@ def test_elliptic_zero_variance_field():
 
 def test_elliptic_batch_draw_matches_scalar(elliptic):
     assert_draw_is_chunk_invariant(elliptic, 13, 2)
+
+
+def test_elliptic_draw_reuses_its_workspace_across_blocks(elliptic):
+    # three whole field blocks and a partial fourth in one draw: the rows on
+    # both sides of every block edge equal one-row draws bit for bit
+    block = models._FIELD_BLOCK // elliptic.master_cells
+    lo = 3
+    batch = elliptic.draw_batch(21, 1, lo, lo + 3 * block + block // 2)
+    rows = [0, batch.exact.size - 1]
+    rows += [edge + side for edge in (block, 2 * block, 3 * block) for side in (-1, 0)]
+    for pos in rows:
+        one = elliptic.draw_batch(21, 1, lo + pos, lo + pos + 1)
+        np.testing.assert_array_equal(batch.fluxes[pos], one.fluxes[0])
+        np.testing.assert_array_equal(batch.errors[pos], one.errors[0])
 
 
 def test_elliptic_work_units_is_master_bound(elliptic):

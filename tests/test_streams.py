@@ -76,6 +76,17 @@ def test_normal_moments_and_shape():
     assert stat.pvalue > 1e-6
 
 
+def test_out_buffer_matches_allocating_path():
+    counters = np.arange(7, 70_007, dtype=np.uint64)
+    before = counters.copy()
+    for draw in (uniform_at, normal_at):
+        fresh = draw(KEY, counters)
+        buf = np.full(counters.shape, np.nan)
+        assert draw(KEY, counters, out=buf) is buf
+        np.testing.assert_array_equal(buf.view(np.uint64), fresh.view(np.uint64))
+    np.testing.assert_array_equal(counters, before)  # counters are never written
+
+
 def test_distinct_keys_decorrelate():
     other = derive_key(12345, 3, 1)
     u0 = uniform_at(KEY, np.arange(100_000, dtype=np.uint64))
