@@ -160,7 +160,7 @@ def _extend_level(
                 n_plus=int(np.count_nonzero(batch.q_fine > batch.q_coarse)),
                 n_minus=int(np.count_nonzero(batch.q_fine < batch.q_coarse)),
             ))
-        state.histogram += np.bincount(batch.stop_index, minlength=state.level + 1)
+        state.histogram += batch.stop_counts
         state.cost += float(np.sum(batch.cost_fine) + np.sum(batch.cost_coarse))
     state.n_drawn = hi
 
@@ -245,7 +245,7 @@ def run_mlmc_sr(
 def _full_indicators(model, batch, n, level, y, tol):
     """Indicators and work of the n rows of ``batch`` solved fully to ``tol``."""
     v, w = model.solve_batch(batch, np.arange(n, dtype=np.int64), tol, level)
-    return np.asarray(v) <= y, np.asarray(w, dtype=np.float64)
+    return v <= y, w
 
 
 def run_mc_baseline(

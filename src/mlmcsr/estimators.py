@@ -278,6 +278,7 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
     N_l = ceil(2 eps^-2 sqrt(V_l / c_l) * sum_k sqrt(V_k c_k)), floored
     at one sample per level.  If every variance is zero the constraint
     is vacuous and the allocation degenerates to one sample everywhere.
+    Raises ValueError when a size is not finite or reaches 2**63.
     """
     v = np.asarray(variances, dtype=np.float64)
     c = np.asarray(costs, dtype=np.float64)
@@ -291,6 +292,8 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
     if total == 0.0:
         return Allocation(np.ones(v.size, dtype=np.int64), degenerate=True)
     raw = 2.0 * epsilon ** -2 * np.sqrt(v / c) * total
+    if not np.all(raw < 2.0 ** 63):  # also catches NaN and inf
+        raise ValueError(f"sample sizes {raw.tolist()} do not fit a 64-bit count")
     sizes = np.maximum(np.ceil(raw).astype(np.int64), 1)
     return Allocation(sizes)
 

@@ -121,6 +121,8 @@ class SyntheticNormalModel:
     def solve_batch(
         self, batch: _SyntheticBatch, sel: np.ndarray, tolerance: float, tol_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
+        # sel is strictly increasing, so a full-length sel is every row
+        rows = slice(None) if len(sel) == batch.indices.size else sel
         if self.uniform_source is not None:
             u = np.array(
                 [
@@ -131,14 +133,14 @@ class SyntheticNormalModel:
             )
         else:
             key = derive_key(batch.seed, batch.level, tol_index + 1)
-            u = uniform_at(key, batch.indices[sel])
+            u = uniform_at(key, batch.indices[rows])
         # omega + tolerance * (2u - 1 + b) / (1 + b), in place, in that order
         u *= 2.0
         u -= 1.0
         u += self.b
         u *= tolerance
         u /= 1.0 + self.b
-        u += batch.omega[sel]
+        u += batch.omega[rows]
         return u, np.full(len(sel), self.work_units(tolerance))
 
     def exact_batch(self, batch: _SyntheticBatch) -> np.ndarray:
@@ -280,7 +282,8 @@ class EllipticFlux1D:
     ) -> tuple[np.ndarray, np.ndarray]:
         if tolerance <= 0.0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
-        pick = np.argmax(batch.errors[sel] <= tolerance, axis=1)
+        rows = slice(None) if len(sel) == batch.indices.size else sel
+        pick = np.argmax(batch.errors[rows] <= tolerance, axis=1)
         values = batch.fluxes[sel, pick]
         works = np.asarray(self._grids, dtype=np.float64)[pick]
         return values, works

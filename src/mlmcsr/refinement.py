@@ -71,7 +71,10 @@ class ModelContract(Protocol):
     ``solve_batch(batch, sel, tolerance, tol_index)`` returns (values,
     works) for the selected rows with the hard guarantee
     |X - value| <= tolerance; repeated calls with the same tol_index
-    return the same values.  Both are new float64 arrays owned by the
+    return the same values.  ``sel`` is an int array of strictly
+    increasing row positions, so a ``sel`` as long as the batch selects
+    every row in order and the model may read its rows without
+    gathering them.  Both results are new float64 arrays owned by the
     caller, which refines them in place.  ``batch_chunk`` is the number
     of realizations the drivers hand to one ``draw_batch`` call; keep a
     chunk's arrays to a few hundred KiB, because large per-chunk
@@ -116,55 +119,47 @@ def _refine(
     y: float,
     schedule: LevelSchedule,
     rule: str,
-    skip_redundant: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refine rows 0..n-1 of a drawn batch to ``level`` around ``y``.
 
-    Returns (value, cost, stop) of the level-l functional and
-    (value_c, cost_c) of the level-(l-1) one.  Both share each row's
-    tolerance-indexed solves, so their trajectories coincide until the
-    coarse one hits its cap; at level 0 the coarse cost is zero.
+    Returns (value, cost, stop_counts) of the level-l functional and
+    (q_coarse, cost_coarse) of the level-(l-1) one.  Both share each
+    row's tolerance-indexed solves, so the coarse functional is the
+    fine one as it stood before the solve at rung ``level``; at level 0
+    it is all False at zero cost.  ``stop_counts[t]`` is the number of
+    rows whose refinement stopped at rung t: |A_t| - |A_(t+1)| for the
+    active sets A_t solved at rung t, with A_0 all rows.
     """
     if rule not in ("certified", "printed"):
         raise ValueError(f"unknown refinement rule {rule!r}")
     everyone = np.arange(n, dtype=np.int64)
-    value, cost_f = model.solve_batch(batch, everyone, 1.0, 0)
-    stop = np.zeros(n, dtype=np.int64)
-    coarse_cap = level - 1
-    value_c = value.copy()
-    cost_c = cost_f.copy() if level >= 1 else np.zeros(n, dtype=np.float64)
-
+    value, cost = model.solve_batch(batch, everyone, 1.0, 0)
+    sizes = np.zeros(level + 2, dtype=np.int64)
+    sizes[0] = n
+    coarse = (np.zeros(n, dtype=bool), np.zeros(n)) if level == 0 else None
     if rule == "certified":
-        if level >= 1:
-            active = np.flatnonzero(np.abs(value - y) < 1.0)
-            for t in range(1, level + 1):
-                if active.size == 0:
-                    break
-                tol = schedule.tolerance(t)
-                v, w = model.solve_batch(batch, active, tol, t)
-                value[active] = v
-                cost_f[active] += w
-                stop[active] = t
-                if t <= coarse_cap:
-                    value_c[active] = v
-                    cost_c[active] += w
-                active = active[np.abs(v - y) < tol]
+        first = 1
+        active = np.flatnonzero(np.abs(value - y) < 1.0) if level >= 1 else None
     else:
-        active = everyone
-        for j in range(0, level + 1):
-            tol = schedule.tolerance(j)
+        first, active = 0, everyone
+    for t in range(first, level + 1):
+        tol = schedule.tolerance(t)
+        if rule == "printed":
             active = active[np.abs(value[active] - y) < tol]
-            if active.size == 0:
-                break
-            if not (skip_redundant and j == 0):
-                v, w = model.solve_batch(batch, active, tol, j)
-                value[active] = v
-                cost_f[active] += w
-                if j <= coarse_cap:
-                    value_c[active] = v
-                    cost_c[active] += w
-            stop[active] = j
-    return value, cost_f, stop, value_c, cost_c
+        if active.size == 0:
+            break
+        if t == level and coarse is None:
+            coarse = (value <= y, cost.copy())
+        v, w = model.solve_batch(batch, active, tol, t)
+        value[active] = v
+        cost[active] += w
+        if t:
+            sizes[t] = active.size
+        if rule == "certified":
+            active = active[np.abs(v - y) < tol]
+    if coarse is None:
+        coarse = (value <= y, cost.copy())
+    return value, cost, sizes[:-1] - sizes[1:], coarse[0], coarse[1]
 
 
 def _draw_one(model: ModelContract, sid: SampleId) -> Any:
@@ -178,7 +173,6 @@ def solve_selective(
     y: float,
     schedule: LevelSchedule,
     rule: str = "certified",
-    skip_redundant: bool = False,
 ) -> RealizationState:
     """Refine one realization to level ``level`` adaptively around ``y``.
 
@@ -193,10 +187,9 @@ def solve_selective(
     else:
         handle = sid_or_handle
         sid = SampleId(handle.seed, handle.level, handle.lo)
-    value, cost, stop, _, _ = _refine(
-        model, handle, 1, level, y, schedule, rule, skip_redundant
-    )
-    return RealizationState(sid, level, float(value[0]), int(stop[0]), float(cost[0]))
+    value, cost, stop_counts, _, _ = _refine(model, handle, 1, level, y, schedule, rule)
+    achieved = int(np.flatnonzero(stop_counts)[0])
+    return RealizationState(sid, level, float(value[0]), achieved, float(cost[0]))
 
 
 def assumption_holds(model: ModelContract, state: RealizationState, y: float,
@@ -221,8 +214,10 @@ class CorrectorBatch:
     ``q_fine`` / ``q_coarse`` are the level-l and level-(l-1) indicator
     values (``q_coarse`` is all False at level 0, where the corrector
     is the indicator itself), ``cost_fine`` / ``cost_coarse`` the work
-    of the two solves, and ``stop_index`` the ladder index at which the
-    fine refinement stopped.
+    of the two solves.  ``stop_counts`` has one entry per ladder index
+    0..level: how many of the realizations' fine refinements stopped
+    there, so it sums to hi - lo (per-row stops come from
+    ``solve_selective``).
     """
 
     level: int
@@ -232,7 +227,7 @@ class CorrectorBatch:
     q_coarse: np.ndarray
     cost_fine: np.ndarray
     cost_coarse: np.ndarray
-    stop_index: np.ndarray
+    stop_counts: np.ndarray
 
 
 def sample_corrector_batch(
@@ -244,7 +239,6 @@ def sample_corrector_batch(
     y: float,
     schedule: LevelSchedule,
     rule: str = "certified",
-    skip_redundant: bool = False,
 ) -> CorrectorBatch:
     """Draw and refine realizations lo..hi-1 of one level, both functionals.
 
@@ -256,8 +250,6 @@ def sample_corrector_batch(
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
     n = hi - lo
     batch = model.draw_batch(seed, level, lo, hi)
-    value, cost_f, stop, value_c, cost_c = _refine(
-        model, batch, n, level, y, schedule, rule, skip_redundant
-    )
-    q_c = value_c <= y if level >= 1 else np.zeros(n, dtype=bool)
-    return CorrectorBatch(level, lo, hi, value <= y, q_c, cost_f, cost_c, stop)
+    value, cost_f, stop_counts, q_c, cost_c = _refine(model, batch, n, level, y,
+                                                      schedule, rule)
+    return CorrectorBatch(level, lo, hi, value <= y, q_c, cost_f, cost_c, stop_counts)

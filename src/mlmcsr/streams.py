@@ -55,9 +55,9 @@ def derive_key(seed: int, *salts: int) -> int:
 def _counter_words(key: int, counters: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """splitmix64 outputs at ``counters`` in a fresh array; ``scratch`` is a
     uint64 array of the same shape that the shifts write into."""
-    z = np.asarray(counters, dtype=np.uint64) + np.uint64(1)
-    z *= _N_GOLDEN
-    z += np.uint64(key)
+    # (c + 1) * GOLDEN + key == c * GOLDEN + (GOLDEN + key) modulo 2**64
+    z = np.multiply(np.asarray(counters, dtype=np.uint64), _N_GOLDEN)
+    z += np.uint64((key + _GOLDEN) & _MASK)
     np.right_shift(z, np.uint64(30), out=scratch)
     np.bitwise_xor(z, scratch, out=z)
     np.multiply(z, _N_MIX_A, out=z)

@@ -190,6 +190,22 @@ def test_allocate_floors_at_one():
     assert alloc.sizes[0] == 1
 
 
+def test_allocate_keeps_ordinary_sizes():
+    assert allocate([0.25, 0.1], [1.0, 3.0], 0.01).sizes.tolist() == [10478, 3826]
+    # 2**61 is exact in float64 and fits an int64 count
+    assert allocate([1.0], [1.0], 2.0 ** -30).sizes.tolist() == [2 ** 61]
+
+
+def test_allocate_rejects_sizes_beyond_int64():
+    # ~1e24 samples used to wrap around in the int64 cast and come out as 1
+    with pytest.raises(ValueError, match="64-bit"):
+        allocate([0.25, 0.1], [1, 3], 1e-12)
+    with pytest.raises(ValueError):
+        allocate([1.0], [1.0], 2.0 ** -31)  # exactly 2**63
+    with pytest.raises(ValueError):
+        allocate([math.inf, 1.0], [1.0, 1.0], 0.1)
+
+
 def test_optimal_allocation_wires_cost_model():
     sched = LevelSchedule(gamma=0.5, q=2.0)
     moments = [MomentEstimates(l, 0.0, v) for l, v in enumerate([1.0, 0.25])]

@@ -294,6 +294,20 @@ def test_elliptic_work_units_is_master_bound(elliptic):
 # registry
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("model", [SyntheticNormalModel(q=1.5), EllipticFlux1D(master_cells=64)])
+def test_all_rows_solve_equals_solves_of_halves(model):
+    # a full-length sel reads the rows directly; two halves gather them
+    n = 37
+    batch = model.draw_batch(4, 3, 100, 100 + n)
+    for tol, j in ((1.0, 0), (0.125, 3)):
+        full = model.solve_batch(batch, np.arange(n), tol, j)
+        halves = [model.solve_batch(batch, np.arange(a, b), tol, j)
+                  for a, b in ((0, n // 2), (n // 2, n))]
+        for k in range(2):
+            joined = np.concatenate([h[k] for h in halves])
+            assert full[k].tobytes() == joined.tobytes()
+
+
 def test_build_model_registry():
     m = build_model("synthetic-normal", {"q": 2.0})
     assert isinstance(m, SyntheticNormalModel) and m.q == 2.0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlmcsr.estimators import LevelSchedule
 from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel
@@ -21,7 +22,7 @@ def fixture_model(q=2.0):
     return SyntheticNormalModel(q=q, uniform_source=lambda level, index, j: 0.5)
 
 
-def reference_refine(model, handle, level, y, rule, skip_redundant=False):
+def reference_refine(model, handle, level, y, rule):
     """The refinement guards written as a scalar loop over one drawn row.
 
     Independent of the kernel under test: every solve is a one-row
@@ -41,16 +42,14 @@ def reference_refine(model, handle, level, y, rule, skip_redundant=False):
         return value, cost, t
     achieved = j = 0
     while j <= level and SCHED.tolerance(j) > abs(value - y):
-        tol = SCHED.tolerance(j)
-        if not (skip_redundant and tol == SCHED.tolerance(achieved)):
-            value, work = solve(tol, j)
-            cost += work
+        value, work = solve(SCHED.tolerance(j), j)
+        cost += work
         achieved = j
         j += 1
     return value, cost, achieved
 
 
-def reference_batch(model, seed, level, lo, hi, rule, skip_redundant=False):
+def reference_batch(model, seed, level, lo, hi, rule):
     """Per-realization reference for ``sample_corrector_batch``: each row
     drawn alone and refined by ``reference_refine`` for both functionals."""
     n = hi - lo
@@ -59,12 +58,10 @@ def reference_batch(model, seed, level, lo, hi, rule, skip_redundant=False):
     stop = np.zeros(n, dtype=np.int64)
     for pos, i in enumerate(range(lo, hi)):
         handle = model.draw_batch(seed, level, i, i + 1)
-        value, c_f[pos], stop[pos] = reference_refine(
-            model, handle, level, Y, rule, skip_redundant)
+        value, c_f[pos], stop[pos] = reference_refine(model, handle, level, Y, rule)
         q_f[pos] = value <= Y
         if level >= 1:
-            value, c_c[pos], _ = reference_refine(
-                model, handle, level - 1, Y, rule, skip_redundant)
+            value, c_c[pos], _ = reference_refine(model, handle, level - 1, Y, rule)
             q_c[pos] = value <= Y
     return q_f, q_c, c_f, c_c, stop
 
@@ -126,16 +123,6 @@ def test_far_realization_costs_one_initial_solve():
         assert st.achieved_tolerance_index == 0
 
 
-def test_skip_redundant_drops_only_the_duplicate():
-    model = fixture_model(q=2.0)
-    h = model.from_omega(0.79, level=2)
-    full = solve_selective(model, h, 2, Y, SCHED, rule="printed")
-    slim = solve_selective(model, h, 2, Y, SCHED, rule="printed", skip_redundant=True)
-    assert slim.value == full.value
-    assert slim.achieved_tolerance_index == full.achieved_tolerance_index
-    assert slim.cost == full.cost - 1.0
-
-
 def test_cost_ledger_replays_exactly():
     # the kernel's ledger equals the reference loop's sum of solve works
     model = SyntheticNormalModel(q=2.0)
@@ -189,17 +176,31 @@ def test_batch_matches_scalar_loop_bitwise(rule, level):
         np.testing.assert_array_equal(fast.q_coarse, q_c)
         np.testing.assert_array_equal(fast.cost_fine, c_f)
         np.testing.assert_array_equal(fast.cost_coarse, c_c)
-        np.testing.assert_array_equal(fast.stop_index, stop)
+        np.testing.assert_array_equal(fast.stop_counts,
+                                      np.bincount(stop, minlength=level + 1))
+        for i, expected in enumerate(stop):
+            state = solve_selective(model, SampleId(99, level, 10 + i), level, Y, SCHED,
+                                    rule=rule)
+            assert state.achieved_tolerance_index == expected
 
 
-def test_batch_respects_skip_redundant():
-    model = SyntheticNormalModel(q=2.0)
-    fast = sample_corrector_batch(
-        model, 5, 3, 0, 500, Y, SCHED, rule="printed", skip_redundant=True
-    )
-    q_f, _, c_f, _, _ = reference_batch(model, 5, 3, 0, 500, "printed", skip_redundant=True)
-    np.testing.assert_array_equal(fast.cost_fine, c_f)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    level=st.integers(0, 6),
+    lo=st.integers(0, 1 << 40),
+    n=st.integers(0, 40),
+    rule=st.sampled_from(["certified", "printed"]),
+    q=st.sampled_from([1.0, 1.5, 2.0]),
+)
+def test_batch_matches_reference_property(level, lo, n, rule, q):
+    model = SyntheticNormalModel(q=q)
+    fast = sample_corrector_batch(model, 7, level, lo, lo + n, Y, SCHED, rule=rule)
+    q_f, q_c, c_f, c_c, stop = reference_batch(model, 7, level, lo, lo + n, rule)
     np.testing.assert_array_equal(fast.q_fine, q_f)
+    np.testing.assert_array_equal(fast.q_coarse, q_c)
+    assert fast.cost_fine.tobytes() == c_f.tobytes()
+    assert fast.cost_coarse.tobytes() == c_c.tobytes()
+    np.testing.assert_array_equal(fast.stop_counts, np.bincount(stop, minlength=level + 1))
 
 
 def test_batch_coarse_is_fine_truncated():
@@ -216,8 +217,9 @@ def test_batch_coarse_is_fine_truncated():
 def test_entry_probability_decays_geometrically():
     # fraction of realizations refining past rung j ~ gamma^j
     model = SyntheticNormalModel(q=1.0)
-    batch = sample_corrector_batch(model, 17, 8, 0, 100_000, Y, SCHED)
-    frac = np.array([np.mean(batch.stop_index >= j) for j in range(1, 7)])
+    n = 100_000
+    batch = sample_corrector_batch(model, 17, 8, 0, n, Y, SCHED)
+    frac = np.array([batch.stop_counts[j:].sum() / n for j in range(1, 7)])
     slope = np.polyfit(np.arange(1, 7), np.log(frac), 1)[0]
     assert -1.3 * np.log(2) < slope < -0.7 * np.log(2)
 

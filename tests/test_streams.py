@@ -12,6 +12,8 @@ from mlmcsr.streams import (
 )
 
 KEY = derive_key(12345, 3, 0)
+GOLDEN = 0x9E3779B97F4A7C15
+MASK = (1 << 64) - 1
 
 
 def test_mix64_is_a_bijection_probe():
@@ -85,6 +87,19 @@ def test_out_buffer_matches_allocating_path():
         assert draw(KEY, counters, out=buf) is buf
         np.testing.assert_array_equal(buf.view(np.uint64), fresh.view(np.uint64))
     np.testing.assert_array_equal(counters, before)  # counters are never written
+
+
+def test_counter_edges_match_splitmix64_reference():
+    # the word at counter c is mix64(key + (c + 1) * GOLDEN) modulo 2**64,
+    # also where c + 1 wraps around
+    counters = [0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
+    arr = np.array(counters, dtype=np.uint64)
+    for key in (0, MASK, KEY):
+        words = [mix64((key + (c + 1) * GOLDEN) & MASK) for c in counters]
+        assert raw_at(key, arr).tolist() == words
+        expected = [((w >> 11) + 0.5) * 2.0 ** -53 for w in words]
+        assert uniform_at(key, arr).tolist() == expected
+    assert arr.tolist() == counters
 
 
 def test_distinct_keys_decorrelate():
