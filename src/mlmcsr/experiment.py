@@ -94,6 +94,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # numpy integers do not serialize to JSON
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.method not in _METHODS:

@@ -178,7 +178,10 @@ class EllipticFlux1D:
 
         g_0 = sigma * z_0,  g_i = phi * g_(i-1) + sigma * sqrt(1 - phi**2) * z_i,
 
-    with phi = exp(-1 / (m * rho)), so a realization costs O(m).
+    with phi = exp(-1 / (m * rho)), so a realization costs O(m).  The
+    recursion runs as log2(m) doubling steps, each one flat pass over a
+    block of rows with the products that would cross a row seam zeroed
+    (see ``_fill_fields``), which keeps the row-wise result bit for bit.
     Under a unit pressure drop the exact flux is the harmonic mean
     formula X = 1 / sum_i(h / a_i) on the master grid.
 
@@ -229,21 +232,30 @@ class EllipticFlux1D:
         """Fields of the rows whose normals sit at ``counters``, in ``field``.
 
         The normals of row ``index`` sit at counters index*m .. index*m + m-1;
-        the AR(1) recursion runs as log2(m) whole-array doubling steps, with
-        ``scratch`` (as large as ``field``) holding each step's products.
+        the AR(1) recursion runs as log2(m) doubling steps
+        ``g[:, s:] += phi**s * g[:, :-s]``, with ``scratch`` (as large as
+        ``field``) holding each step's products.  Each step runs as flat
+        passes over the whole block, because numpy's 2D strided views cost
+        about 3x more per element.  A flat step would also carry the last s
+        cells of a row into the first s cells of the next, so those products
+        are zeroed first: every cell gets the same product from the same old
+        value as in the row-wise step, and a seam cell gets ``+ 0.0``, which
+        leaves its bits as they are (a -0.0, as sigma=0 gives, turns into
+        +0.0, and ``exp`` maps both to 1.0).
         """
         m = self.master_cells
         key = derive_key(seed, level, _REALIZATION_SLOT)
-        g = normal_at(key, counters, out=field).reshape(-1, m)
-        step = scratch.reshape(-1, m)
-        g[:, 0] *= self.sigma
-        g[:, 1:] *= self._innovation
+        g = normal_at(key, counters, out=field)
+        first = g[::m] * self.sigma
+        g *= self._innovation
+        g[::m] = first
         s = 1
         while s < m:
-            np.multiply(g[:, :-s], self._phi ** s, out=step[:, :-s])
-            g[:, s:] += step[:, :-s]
+            np.multiply(g[:-s], self._phi ** s, out=scratch[:-s])
+            scratch.reshape(-1, m)[:, m - s:] = 0.0
+            g[s:] += scratch[:-s]
             s *= 2
-        return np.exp(g, out=g)
+        return np.exp(g, out=g).reshape(-1, m)
 
     def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> _EllipticBatch:
         m, grids = self.master_cells, self._grids

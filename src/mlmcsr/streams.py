@@ -18,6 +18,9 @@ the inverse normal CDF below never sees 0 or 1.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -40,15 +43,20 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def derive_key(seed: int, *salts: int) -> int:
     """Derive an independent stream key from a seed and a salt path.
 
     Each salt advances the key by one salted splitmix64 step, so keys
     with different salt paths are unrelated for all practical purposes.
+    ``seed`` and the salts are integers, numpy integers included; a float
+    raises ``TypeError``.  Keys are memoized: every chunk of a run asks
+    for the same few.  The cache is typed, so a float equal to a cached
+    int still reaches the check instead of the cached key.
     """
-    key = mix64(seed)
+    key = mix64(operator.index(seed))
     for s in salts:
-        key = mix64((key + (int(s) + 1) * _GOLDEN) & _MASK)
+        key = mix64((key + (operator.index(s) + 1) * _GOLDEN) & _MASK)
     return key
 
 

@@ -119,6 +119,16 @@ def test_different_seeds_differ():
     assert a.estimate_raw != b.estimate_raw
 
 
+@pytest.mark.parametrize("runner, model", [
+    (run_mlmc_sr, SyntheticNormalModel(q=1.0)),
+    (run_mlmc_sr, EllipticFlux1D(master_cells=64)),
+    (run_mc_baseline, SyntheticNormalModel(q=1.0)),
+])
+def test_numpy_integer_seed_equals_int_seed(runner, model):
+    cfg = EstimatorConfig(y=0.99 if isinstance(model, EllipticFlux1D) else Y, epsilon=0.05)
+    record_pairs_equal(runner(model, cfg, seed=np.int64(7)), runner(model, cfg, seed=7))
+
+
 @pytest.mark.parametrize("runner", [run_mlmc_sr, run_mc_baseline])
 def test_thread_count_validated(runner):
     model = SyntheticNormalModel(q=1.0)

@@ -217,6 +217,16 @@ def test_seed_isolation_from_experiment_context():
         assert solo.total_cost == row.total_cost
 
 
+def test_numpy_integer_seed_equals_int_seed(tmp_path):
+    cfg = small_config(epsilons=[0.1, 0.05], runs=3, seed=np.int64(3),
+                       output_dir=str(tmp_path / "out"))
+    report = run_experiment(cfg)
+    plain = run_experiment(small_config(epsilons=[0.1, 0.05], runs=3, seed=3))
+    assert report.rows == plain.rows
+    assert report.summaries == plain.summaries
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
 def test_thread_count_does_not_change_report():
     one = run_experiment(small_config(runs=6))
     many = run_experiment(small_config(runs=6, threads=3))

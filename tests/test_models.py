@@ -223,6 +223,44 @@ def test_elliptic_fields_match_dense_cholesky(sigma, rho):
                                rtol=1e-12, atol=1e-12)
 
 
+def rowwise_fill_fields(model, seed, level, counters, field, scratch):
+    """The AR(1) doubling steps run row by row on 2D views of the block: the
+    reference the flat passes of ``EllipticFlux1D._fill_fields`` must match
+    bit for bit."""
+    m = model.master_cells
+    g = normal_at(derive_key(seed, level, 0), counters, out=field).reshape(-1, m)
+    step = scratch.reshape(-1, m)
+    g[:, 0] *= model.sigma
+    g[:, 1:] *= model._innovation
+    s = 1
+    while s < m:
+        np.multiply(g[:, :-s], model._phi ** s, out=step[:, :-s])
+        g[:, s:] += step[:, :-s]
+        s *= 2
+    return np.exp(g, out=g)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 64, 512])
+@pytest.mark.parametrize("rho, sigma", [(0.01, 1.0), (0.1, 1.0), (10.0, 1.0), (0.1, 0.0)])
+def test_elliptic_fields_match_rowwise_reference_bitwise(monkeypatch, m, rho, sigma):
+    model = EllipticFlux1D(sigma=sigma, rho=rho, master_cells=m)
+    block = max(1, models._FIELD_BLOCK // m)
+    lo, hi = 3, 3 + 3 * block + block // 2  # three whole blocks and a partial one
+    fields = model._fields(9, 2, lo, hi)
+    counters = np.arange(lo * m, hi * m, dtype=np.uint64)
+    reference = rowwise_fill_fields(model, 9, 2, counters, np.empty(counters.size),
+                                    np.empty(counters.size))
+    assert fields.shape == reference.shape == (hi - lo, m)
+    assert fields.tobytes() == reference.tobytes()
+    if sigma == 0.0:
+        assert np.all(fields == 1.0)
+    flat = model.draw_batch(9, 2, lo, hi)
+    monkeypatch.setattr(model, "_fill_fields",
+                        lambda *args: rowwise_fill_fields(model, *args))
+    rowwise = model.draw_batch(9, 2, lo, hi)
+    assert flat.fluxes.tobytes() == rowwise.fluxes.tobytes()
+
+
 def test_elliptic_flux_between_extreme_conductivities(elliptic):
     # series-network bound against the coefficient field
     for i, a in enumerate(elliptic._fields(3, 0, 0, 10)):

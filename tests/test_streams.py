@@ -1,6 +1,7 @@
 """Counter-based random stream: determinism, quality, batch independence."""
 
 import numpy as np
+import pytest
 import scipy.stats
 
 from mlmcsr.streams import (
@@ -27,6 +28,28 @@ def test_derive_key_order_sensitivity():
     assert derive_key(7, 1, 2) != derive_key(7, 2, 1)
     assert derive_key(7, 1) != derive_key(8, 1)
     assert derive_key(7, 0) != derive_key(7)
+
+
+def test_derive_key_takes_numpy_integers_and_rejects_floats():
+    assert derive_key(np.int64(5), np.int64(1), 0) == derive_key(5, 1, 0)
+    assert derive_key(np.uint64(2 ** 63 + 1), 3) == derive_key(2 ** 63 + 1, 3)
+    derive_key(5)  # a float equal to a cached int must not hit its entry
+    for bad in (5.0, 5.5, "5"):
+        with pytest.raises(TypeError):
+            derive_key(bad)
+    derive_key(5, 1)
+    with pytest.raises(TypeError):
+        derive_key(5, 1.0)
+
+
+def test_derive_key_cache_returns_the_uncached_keys():
+    assert derive_key.cache_info().maxsize is not None
+    seeds = [0, 1, 7, 2 ** 64 - 1, 2 ** 70, -3, np.int64(9), np.uint32(11)]
+    salts = [(), (0,), (3, 0), (2, 5, 1), (np.int64(4), 2)]
+    for _ in range(2):  # second pass reads the cache
+        for seed in seeds:
+            for path in salts:
+                assert derive_key(seed, *path) == derive_key.__wrapped__(seed, *path)
 
 
 def test_counters_are_random_access():
