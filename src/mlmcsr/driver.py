@@ -147,19 +147,12 @@ def _extend_level(
         return sample_corrector_batch(model, seed, state.level, a, b, config.y, sched)
 
     for batch in _map_chunks(work, lo, hi, model.batch_chunk, pool):
-        n = batch.q_fine.size
-        if state.level == 0:
-            # a float sum of 0/1 indicators is exact, so it is the hit count
-            hits = float(np.count_nonzero(batch.q_fine))
-            state.tally.merge(CorrectorTally(
-                0, n=n, n_plus=0, n_minus=0, sum_q0=hits, sum_q0_sq=hits,
-            ))
-        else:
-            state.tally.merge(CorrectorTally(
-                state.level, n=n,
-                n_plus=int(np.count_nonzero(batch.q_fine > batch.q_coarse)),
-                n_minus=int(np.count_nonzero(batch.q_fine < batch.q_coarse)),
-            ))
+        # q_coarse is all False at level 0, so n_plus counts the hits there
+        state.tally.merge(CorrectorTally(
+            state.level, n=batch.q_fine.size,
+            n_plus=int(np.count_nonzero(batch.q_fine > batch.q_coarse)),
+            n_minus=int(np.count_nonzero(batch.q_fine < batch.q_coarse)),
+        ))
         state.histogram += batch.stop_counts
         state.cost += float(np.sum(batch.cost_fine) + np.sum(batch.cost_coarse))
     state.n_drawn = hi
@@ -203,9 +196,9 @@ def run_mlmc_sr(
             mandatory = math.ceil(config.N * config.gamma ** -L)
             _extend_level(model, seed, levels[L], mandatory, config, pool)
 
-            alloc = optimal_allocation(_allocation_moments(levels, config.k), sched,
+            sizes = optimal_allocation(_allocation_moments(levels, config.k), sched,
                                        config.epsilon)
-            for ls, n in zip(levels, alloc.sizes):
+            for ls, n in zip(levels, sizes):
                 _extend_level(model, seed, ls, int(n), config, pool)
 
             moments = _moments(levels, config.k)
@@ -260,9 +253,9 @@ def run_mc_baseline(
     fits epsilon/sqrt(2); plain MC then runs at that one level with a
     sample size meeting the variance half of the budget.  Every solve
     is a full solve at the level tolerance.  The record's single level
-    entry stores the indicator observations in the level-0 tally slots
-    (there are no correctors in this method); the termination trace
-    holds the pilot's (level, bias_bound, threshold) rows.
+    entry's tally counts the hits in ``n_plus`` (there are no correctors
+    in this method); the termination trace holds the pilot's (level,
+    bias_bound, threshold) rows.
     """
     with _worker_pool(threads) as pool:
         return _run_mc_baseline(model, config, seed, pool)
@@ -283,9 +276,8 @@ def _run_mc_baseline(model, config, seed, pool):
         qf, wf = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L))
         qc, wc = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L - 1))
         pilot_cost += float(np.sum(wc))
-        d = qf.astype(np.int64) - qc.astype(np.int64)
-        tally = CorrectorTally(L, n=n_pilot,
-                               n_plus=int(np.sum(d > 0)), n_minus=int(np.sum(d < 0)))
+        tally = CorrectorTally(L, n=n_pilot, n_plus=int(np.count_nonzero(qf > qc)),
+                               n_minus=int(np.count_nonzero(qf < qc)))
         bias = bias_bound(corrector_moments(tally, config.k), config.gamma)
         trace.append((L, bias, threshold))
         if bias < threshold:
@@ -305,9 +297,8 @@ def _run_mc_baseline(model, config, seed, pool):
     s2 = n_pilot / (n_pilot - 1) * p_hat * (1.0 - p_hat) if n_pilot > 1 else 0.0
     n_mc = max(n_pilot, math.ceil(2.0 * s2 / config.epsilon ** 2))
 
-    state = LevelState(star, CorrectorTally(star),
-                       histogram=np.zeros(star + 1, dtype=np.int64))
-    q_all = qf.astype(np.float64)
+    hits = CorrectorTally(star, n=n_pilot, n_plus=int(np.count_nonzero(qf)))
+    state = LevelState(star, hits, histogram=np.zeros(star + 1, dtype=np.int64))
     state.cost = float(np.sum(wf))
     tol = sched.tolerance(star)
 
@@ -316,20 +307,14 @@ def _run_mc_baseline(model, config, seed, pool):
         return _full_indicators(model, model.draw_batch(seed, star, a, b), b - a,
                                 star, config.y, tol)
 
-    parts = [q_all]
     for q, w in _map_chunks(work, n_pilot, n_mc, model.batch_chunk, pool):
-        parts.append(q.astype(np.float64))
+        state.tally.merge(CorrectorTally(star, n=q.size, n_plus=int(np.count_nonzero(q))))
         state.cost += float(np.sum(w))
-    q_all = np.concatenate(parts) if len(parts) > 1 else q_all
-
-    state.tally = CorrectorTally(star, n=n_mc, n_plus=0, n_minus=0,
-                                 sum_q0=float(np.sum(q_all)),
-                                 sum_q0_sq=float(np.sum(q_all * q_all)))
     state.moments = MomentEstimates(star, p_hat, s2)
     state.n_drawn = n_mc
     state.histogram[star] = n_mc
 
-    raw = state.tally.sum_q0 / n_mc
+    raw = state.tally.n_plus / n_mc
     return RunRecord(
         config=config,
         seed=seed,

@@ -30,7 +30,6 @@ __all__ = [
     "EstimatorConfig",
     "CorrectorTally",
     "MomentEstimates",
-    "Allocation",
     "shrinkage_estimate",
     "corrector_moments",
     "level0_moments",
@@ -126,16 +125,13 @@ class CorrectorTally:
 
     ``n_plus`` and ``n_minus`` count corrector values +1 and -1.  At
     level 0 the observations are the indicators themselves, so
-    ``n_minus`` stays 0 and ``sum_q0`` / ``sum_q0_sq`` accumulate the
-    raw values for the plain mean/variance estimate used there.
+    ``n_plus`` counts the hits and ``n_minus`` stays 0.
     """
 
     level: int
     n: int = 0
     n_plus: int = 0
     n_minus: int = 0
-    sum_q0: float = 0.0
-    sum_q0_sq: float = 0.0
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -159,8 +155,6 @@ class CorrectorTally:
         self.n += other.n
         self.n_plus += other.n_plus
         self.n_minus += other.n_minus
-        self.sum_q0 += other.sum_q0
-        self.sum_q0_sq += other.sum_q0_sq
         self._check()
 
 
@@ -171,14 +165,6 @@ class MomentEstimates:
     level: int
     mean_bound: float
     var_bound: float
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Per-level sample sizes; ``degenerate`` marks an all-zero-variance fit."""
-
-    sizes: np.ndarray
-    degenerate: bool = False
 
 
 def shrinkage_estimate(x: int, n: int, k: float) -> float:
@@ -222,8 +208,8 @@ def level0_moments(tally: CorrectorTally) -> MomentEstimates:
         raise InsufficientSamplesError(
             f"need at least 2 observations for a variance, got {tally.n}"
         )
-    mean = tally.sum_q0 / tally.n
-    var = (tally.sum_q0_sq - tally.n * mean * mean) / (tally.n - 1)
+    mean = tally.n_plus / tally.n
+    var = (tally.n_plus - tally.n * mean * mean) / (tally.n - 1)
     return MomentEstimates(0, mean, max(var, 0.0))
 
 
@@ -244,7 +230,7 @@ def level0_allocation_variance(tally: CorrectorTally, k: float) -> float:
         raise ValueError(f"pseudo-count k must be positive, got {k}")
     if tally.n < 1:
         raise InsufficientSamplesError("need at least 1 observation")
-    p = (tally.sum_q0 + k) / (tally.n + 2.0 * k)
+    p = (tally.n_plus + k) / (tally.n + 2.0 * k)
     smoothed = p * (1.0 - p)
     if tally.n < 2:
         return smoothed
@@ -272,8 +258,8 @@ def corrector_cost(level: int, schedule: LevelSchedule) -> float:
     return c
 
 
-def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float) -> Allocation:
-    """Work-optimal sample sizes meeting sum(V_l / N_l) = epsilon**2 / 2.
+def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float) -> np.ndarray:
+    """Work-optimal int64 sample sizes meeting sum(V_l / N_l) = epsilon**2 / 2.
 
     N_l = ceil(2 eps^-2 sqrt(V_l / c_l) * sum_k sqrt(V_k c_k)), floored
     at one sample per level.  If every variance is zero the constraint
@@ -290,20 +276,19 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
         raise ValueError("variances must be >= 0 and costs > 0")
     total = np.sum(np.sqrt(v * c))
     if total == 0.0:
-        return Allocation(np.ones(v.size, dtype=np.int64), degenerate=True)
+        return np.ones(v.size, dtype=np.int64)
     raw = 2.0 * epsilon ** -2 * np.sqrt(v / c) * total
     if not np.all(raw < 2.0 ** 63):  # also catches NaN and inf
         raise ValueError(f"sample sizes {raw.tolist()} do not fit a 64-bit count")
-    sizes = np.maximum(np.ceil(raw).astype(np.int64), 1)
-    return Allocation(sizes)
+    return np.maximum(np.ceil(raw).astype(np.int64), 1)
 
 
 def optimal_allocation(
     moments: Sequence[MomentEstimates],
     schedule: LevelSchedule,
     epsilon: float,
-) -> Allocation:
-    """Allocation from per-level moment bounds and the schedule's cost model."""
+) -> np.ndarray:
+    """Sample sizes from per-level moment bounds and the schedule's cost model."""
     if not moments:
         raise ValueError("need moment estimates for at least one level")
     levels = [m.level for m in moments]
@@ -315,7 +300,7 @@ def optimal_allocation(
 
 
 def mlmc_combine(tallies: Sequence[CorrectorTally]) -> float:
-    """Telescoped estimate: level-0 mean plus the corrector means above it.
+    """Telescoped estimate: the sum of every level's mean (n_plus - n_minus) / n.
 
     The result is reported raw; it can leave [0, 1] by sampling noise
     and consumers decide whether to clamp.
@@ -329,10 +314,7 @@ def mlmc_combine(tallies: Sequence[CorrectorTally]) -> float:
     for t in tallies:
         if t.n == 0:
             raise InsufficientSamplesError(f"level {t.level} has no samples")
-        if t.level == 0:
-            total += t.sum_q0 / t.n
-        else:
-            total += (t.n_plus - t.n_minus) / t.n
+        total += (t.n_plus - t.n_minus) / t.n
     return total
 
 

@@ -82,6 +82,10 @@ class ExperimentConfig:
     reference_stderr: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model_name, str):
+            raise ConfigError(f"model_name must be a string, got {self.model_name!r}")
+        if not isinstance(self.model_params, dict):
+            raise ConfigError(f"model_params must be a dict, got {self.model_params!r}")
         if not self.epsilons:
             raise ConfigError("epsilons must be a nonempty list")
         if not all(math.isfinite(e) and e > 0.0 for e in self.epsilons):

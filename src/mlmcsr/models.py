@@ -156,7 +156,6 @@ class _EllipticBatch:
     seed: int
     level: int
     lo: int
-    indices: np.ndarray
     fluxes: np.ndarray   # (n, grids): coarse flux per dyadic grid, coarsest first
     errors: np.ndarray   # (n, grids): |flux - exact| per grid
     exact: np.ndarray    # (n,)
@@ -286,15 +285,14 @@ class EllipticFlux1D:
             counters += np.uint64(block * m)
         exact = fluxes[:, -1].copy()  # master grid: averaging is the identity
         errors = np.abs(fluxes - exact[:, None])
-        idx = np.arange(lo, hi, dtype=np.int64)
-        return _EllipticBatch(seed, level, lo, idx, fluxes, errors, exact)
+        return _EllipticBatch(seed, level, lo, fluxes, errors, exact)
 
     def solve_batch(
         self, batch: _EllipticBatch, sel: np.ndarray, tolerance: float, tol_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
         if tolerance <= 0.0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
-        rows = slice(None) if len(sel) == batch.indices.size else sel
+        rows = slice(None) if len(sel) == len(batch.fluxes) else sel
         pick = np.argmax(batch.errors[rows] <= tolerance, axis=1)
         values = batch.fluxes[sel, pick]
         works = np.asarray(self._grids, dtype=np.float64)[pick]

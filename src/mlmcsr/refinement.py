@@ -16,18 +16,19 @@ model's ``solve_batch``: ``sample_corrector_batch`` runs it on a range
 of indices for both functionals of a corrector, and ``solve_selective``
 is the same kernel on a batch of one realization.
 
-Two guard variants are provided:
+Two guard variants run the same loop: a row is solved at rung t while
+the guard tolerance exceeds |value - y|.  They differ only in which
+rung's tolerance is the guard:
 
-* ``certified`` (default): refine while the currently certified
-  tolerance exceeds |value - y|.  At a guard exit the certified error
-  is at most |value - y|, so the contract above holds by construction.
-* ``printed``: the loop as it is usually printed, indexing the guard
-  by the next rung: refine while gamma**j > |value - y|, re-solving at
-  gamma**j (including a redundant tolerance-1 re-solve at j = 0).
-  This stops one rung earlier and can exit with a certified tolerance
-  looser than |value - y|, so the contract can fail for a few percent
-  of realizations near y.  It is kept for reproducing hand traces and
-  for comparison, not for production estimates.
+* ``certified`` (default): rung t - 1's, the one just certified.  At a
+  guard exit the certified error is at most |value - y|, so the
+  contract above holds by construction.
+* ``printed``: rung t's own, as the loop is usually printed (with a
+  redundant tolerance-1 re-solve at t = 0).  This stops one rung
+  earlier and can exit with a certified tolerance looser than
+  |value - y|, so the contract can fail for a few percent of
+  realizations near y.  It is kept for reproducing hand traces and for
+  comparison, not for production estimates.
 """
 
 from __future__ import annotations
@@ -137,26 +138,19 @@ def _refine(
     sizes = np.zeros(level + 2, dtype=np.int64)
     sizes[0] = n
     coarse = (np.zeros(n, dtype=bool), np.zeros(n)) if level == 0 else None
-    if rule == "certified":
-        first = 1
-        active = np.flatnonzero(np.abs(value - y) < 1.0) if level >= 1 else None
-    else:
-        first, active = 0, everyone
+    first = 1 if rule == "certified" else 0  # rung t is guarded by gamma**(t - first)
+    active = np.flatnonzero(np.abs(value - y) < 1.0) if level >= first else None
     for t in range(first, level + 1):
-        tol = schedule.tolerance(t)
-        if rule == "printed":
-            active = active[np.abs(value[active] - y) < tol]
         if active.size == 0:
             break
         if t == level and coarse is None:
             coarse = (value <= y, cost.copy())
-        v, w = model.solve_batch(batch, active, tol, t)
+        v, w = model.solve_batch(batch, active, schedule.tolerance(t), t)
         value[active] = v
         cost[active] += w
         if t:
             sizes[t] = active.size
-        if rule == "certified":
-            active = active[np.abs(v - y) < tol]
+        active = active[np.abs(v - y) < schedule.tolerance(t + 1 - first)]
     if coarse is None:
         coarse = (value <= y, cost.copy())
     return value, cost, sizes[:-1] - sizes[1:], coarse[0], coarse[1]

@@ -95,6 +95,18 @@ def test_unknown_model_is_config_error(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [
+    {"model": {"name": ["x"], "params": {}}},
+    {"model": {"name": "synthetic-normal", "params": 5}},
+    {"model_name": "synthetic-normal", "model_params": [1]},
+])
+def test_malformed_model_entry_is_config_error(tmp_path, capsys, entry):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**entry, "y": 0.8, "epsilons": [0.1], "runs": 1}))
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert "model_" in capsys.readouterr().err
+
+
 def test_level_cap_is_nonconvergence_exit(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": {"name": "synthetic-normal"},

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mlmcsr.driver import NonConvergenceError, run_mc_baseline, run_mlmc_sr
-from mlmcsr.estimators import EstimatorConfig
+from mlmcsr.estimators import EstimatorConfig, mlmc_combine
 from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel, standard_normal_cdf
+from mlmcsr.refinement import sample_corrector_batch
 
 Y = 0.8
 P_TRUE = standard_normal_cdf(Y)
@@ -235,6 +236,45 @@ def test_mlmc_sr_cost_near_theory_at_q2():
                          for s in range(50)])
     ref = 2.0 * math.log(1.0 / cfg.epsilon) ** 2 * cfg.epsilon ** -2
     assert ref / 4.0 <= mean_cost <= 4.0 * ref
+
+
+# ---------------------------------------------------------------------------
+# tallies recounted from the samples they summarize
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, cfg", [
+    (SyntheticNormalModel(q=1.0), EstimatorConfig(y=Y, epsilon=0.02)),
+    (EllipticFlux1D(master_cells=64), EstimatorConfig(y=0.99, epsilon=0.02)),
+])
+def test_mlmc_sr_tallies_recount_from_samples(model, cfg):
+    seed = 5
+    rec = run_mlmc_sr(model, cfg, seed)
+    for ls in rec.per_level:
+        batch = sample_corrector_batch(model, seed, ls.level, 0, ls.n_drawn, cfg.y,
+                                       cfg.schedule)
+        assert ls.tally.n == ls.n_drawn
+        assert ls.tally.n_plus == np.count_nonzero(batch.q_fine > batch.q_coarse)
+        assert ls.tally.n_minus == np.count_nonzero(batch.q_fine < batch.q_coarse)
+        if ls.level == 0:
+            assert ls.tally.n_plus == np.count_nonzero(batch.q_fine) > 0
+    assert rec.estimate_raw == mlmc_combine([ls.tally for ls in rec.per_level])
+
+
+@pytest.mark.parametrize("model, cfg", [
+    # n_mc spans several chunks past the pilot
+    (SyntheticNormalModel(q=1.0), EstimatorConfig(y=Y, epsilon=0.003)),
+    (EllipticFlux1D(master_cells=64), EstimatorConfig(y=0.99, epsilon=0.02)),
+])
+def test_mc_baseline_tally_recounts_from_samples(model, cfg):
+    seed = 5
+    rec = run_mc_baseline(model, cfg, seed)
+    (state,) = rec.per_level
+    n_mc, star = state.n_drawn, rec.final_L
+    values, _ = model.solve_batch(model.draw_batch(seed, star, 0, n_mc),
+                                  np.arange(n_mc), cfg.schedule.tolerance(star), star)
+    hits = int(np.count_nonzero(values <= cfg.y))
+    assert (state.tally.n, state.tally.n_plus, state.tally.n_minus) == (n_mc, hits, 0)
+    assert rec.estimate_raw == hits / n_mc
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,9 @@ def test_config_json_round_trip():
     (dict(threads=True), "threads must be an integer"),
     (dict(N=2.5), "N must be an integer"),
     (dict(max_level=7.5), "max_level must be an integer"),
+    (dict(model_name=["x"]), "model_name must be a string"),
+    (dict(model_params=5), "model_params must be a dict"),
+    (dict(model_params=[1]), "model_params must be a dict"),
 ])
 def test_config_validation(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -102,6 +105,12 @@ def test_config_validation(mutation, fragment):
      '"runs": 1, "bogus": 1}', "bogus"),
     ('{"model": {"name": "synthetic-normal"}, "epsilons": [0.1], "runs": 1}',
      "y"),
+    ('{"model": {"name": ["x"], "params": {}}, "y": 0.8, "epsilons": [0.1], '
+     '"runs": 1}', "model_name must be a string"),
+    ('{"model": {"name": "synthetic-normal", "params": 5}, "y": 0.8, '
+     '"epsilons": [0.1], "runs": 1}', "model_params must be a dict"),
+    ('{"model_name": "synthetic-normal", "model_params": [1], "y": 0.8, '
+     '"epsilons": [0.1], "runs": 1}', "model_params must be a dict"),
 ])
 def test_config_from_json_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
