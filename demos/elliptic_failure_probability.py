@@ -8,8 +8,10 @@ script first draws a pilot on the master grid to place y at a chosen
 quantile (failure probability by construction), then estimates that
 probability with the multilevel selective estimator and compares.
 
-This is the expensive demo: every realization factors through actual
-grid solves.  The defaults finish in about a minute.
+This is the expensive demo: the draw of each realization (its
+coefficient field on the master grid and the pyramid of coarse-grid
+fluxes) dominates the run, and a solve only picks one of those fluxes.
+The defaults finish in about a minute.
 """
 
 import argparse

@@ -146,15 +146,15 @@ def _extend_level(
         a, b = bounds
         return sample_corrector_batch(model, seed, state.level, a, b, config.y, sched)
 
+    tally = state.tally
     for batch in _map_chunks(work, lo, hi, model.batch_chunk, pool):
         # q_coarse is all False at level 0, so n_plus counts the hits there
-        state.tally.merge(CorrectorTally(
-            state.level, n=batch.q_fine.size,
-            n_plus=int(np.count_nonzero(batch.q_fine > batch.q_coarse)),
-            n_minus=int(np.count_nonzero(batch.q_fine < batch.q_coarse)),
-        ))
+        tally.n += batch.q_fine.size
+        tally.n_plus += int(np.count_nonzero(batch.q_fine > batch.q_coarse))
+        tally.n_minus += int(np.count_nonzero(batch.q_fine < batch.q_coarse))
         state.histogram += batch.stop_counts
-        state.cost += float(np.sum(batch.cost_fine) + np.sum(batch.cost_coarse))
+        state.cost += float(batch.cost_fine.sum() + batch.cost_coarse.sum())
+    tally.check()
     state.n_drawn = hi
 
 
@@ -275,7 +275,7 @@ def _run_mc_baseline(model, config, seed, pool):
         batch = model.draw_batch(seed, L, 0, n_pilot)
         qf, wf = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L))
         qc, wc = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L - 1))
-        pilot_cost += float(np.sum(wc))
+        pilot_cost += float(wc.sum())
         tally = CorrectorTally(L, n=n_pilot, n_plus=int(np.count_nonzero(qf > qc)),
                                n_minus=int(np.count_nonzero(qf < qc)))
         bias = bias_bound(corrector_moments(tally, config.k), config.gamma)
@@ -284,7 +284,7 @@ def _run_mc_baseline(model, config, seed, pool):
             star = L
             pilot_fine = (qf, wf)
             break
-        pilot_cost += float(np.sum(wf))
+        pilot_cost += float(wf.sum())
 
     if star is None:
         empty = RunRecord(config, seed, "mc", False, math.nan, math.nan,
@@ -293,13 +293,13 @@ def _run_mc_baseline(model, config, seed, pool):
 
     qf, wf = pilot_fine
     n_pilot = qf.size
-    p_hat = float(np.mean(qf))
+    p_hat = float(qf.mean())
     s2 = n_pilot / (n_pilot - 1) * p_hat * (1.0 - p_hat) if n_pilot > 1 else 0.0
     n_mc = max(n_pilot, math.ceil(2.0 * s2 / config.epsilon ** 2))
 
     hits = CorrectorTally(star, n=n_pilot, n_plus=int(np.count_nonzero(qf)))
     state = LevelState(star, hits, histogram=np.zeros(star + 1, dtype=np.int64))
-    state.cost = float(np.sum(wf))
+    state.cost = float(wf.sum())
     tol = sched.tolerance(star)
 
     def work(bounds):
@@ -308,8 +308,10 @@ def _run_mc_baseline(model, config, seed, pool):
                                 star, config.y, tol)
 
     for q, w in _map_chunks(work, n_pilot, n_mc, model.batch_chunk, pool):
-        state.tally.merge(CorrectorTally(star, n=q.size, n_plus=int(np.count_nonzero(q))))
-        state.cost += float(np.sum(w))
+        hits.n += q.size
+        hits.n_plus += int(np.count_nonzero(q))
+        state.cost += float(w.sum())
+    hits.check()
     state.moments = MomentEstimates(star, p_hat, s2)
     state.n_drawn = n_mc
     state.histogram[star] = n_mc

@@ -17,9 +17,10 @@ when counts are small.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -84,7 +85,8 @@ class EstimatorConfig:
     ``N`` is the base of the mandatory sample size N * gamma**-L drawn
     whenever level L is opened; ``k`` is the shrinkage pseudo-count.
     Runs always refine with the certified guard (see the refinement
-    module).
+    module).  ``schedule`` is the ``LevelSchedule(gamma, q)`` built once
+    at construction.
     """
 
     y: float
@@ -94,6 +96,7 @@ class EstimatorConfig:
     N: int = 10
     k: float = 1.0
     max_level: int = 30
+    schedule: LevelSchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("y", "epsilon", "gamma", "q", "k"):
@@ -112,11 +115,8 @@ class EstimatorConfig:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.max_level < 2:
             raise ValueError(f"max_level must be >= 2, got {self.max_level}")
-        LevelSchedule(self.gamma, self.q)  # validates gamma, q
-
-    @property
-    def schedule(self) -> LevelSchedule:
-        return LevelSchedule(self.gamma, self.q)
+        # validates gamma and q
+        object.__setattr__(self, "schedule", LevelSchedule(self.gamma, self.q))
 
 
 @dataclass
@@ -125,7 +125,8 @@ class CorrectorTally:
 
     ``n_plus`` and ``n_minus`` count corrector values +1 and -1.  At
     level 0 the observations are the indicators themselves, so
-    ``n_plus`` counts the hits and ``n_minus`` stays 0.
+    ``n_plus`` counts the hits and ``n_minus`` stays 0.  The drivers add
+    each chunk's counts to the fields and ``check`` the sums once.
     """
 
     level: int
@@ -136,26 +137,16 @@ class CorrectorTally:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError(f"level must be >= 0, got {self.level}")
-        self._check()
+        self.check()
 
-    def _check(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError unless the counts form a valid tally."""
         if self.n < 0 or self.n_plus < 0 or self.n_minus < 0:
             raise ValueError("tally counts must be non-negative")
         if self.n_plus + self.n_minus > self.n:
             raise ValueError("n_plus + n_minus exceeds n")
         if self.level == 0 and self.n_minus != 0:
             raise ValueError("level-0 indicators cannot be negative")
-
-    def merge(self, other: "CorrectorTally") -> None:
-        """Fold another tally of the same level into this one."""
-        if other.level != self.level:
-            raise ValueError(
-                f"cannot merge tallies of levels {self.level} and {other.level}"
-            )
-        self.n += other.n
-        self.n_plus += other.n_plus
-        self.n_minus += other.n_minus
-        self._check()
 
 
 @dataclass(frozen=True)
@@ -188,15 +179,16 @@ def corrector_moments(tally: CorrectorTally, k: float) -> MomentEstimates:
     where the +/- probabilities are shrinkage estimates; the variance
     bound estimates the combined probability directly rather than
     summing the two shrunk parts, so only one pseudo-count enters.
+    A tally's counts already satisfy ``shrinkage_estimate``'s checks.
     """
     if tally.level < 1:
         raise ValueError("corrector_moments needs level >= 1; "
                          "level 0 uses level0_moments")
-    mean_bound = max(
-        shrinkage_estimate(tally.n_plus, tally.n, k),
-        shrinkage_estimate(tally.n_minus, tally.n, k),
-    )
-    var_bound = shrinkage_estimate(tally.n_plus + tally.n_minus, tally.n, k)
+    if k <= 0.0:
+        raise ValueError(f"pseudo-count k must be positive, got {k}")
+    n_plus, n_minus, nk = tally.n_plus, tally.n_minus, tally.n + k
+    mean_bound = max((n_plus + k) / nk, (n_minus + k) / nk)
+    var_bound = (n_plus + n_minus + k) / nk
     return MomentEstimates(tally.level, mean_bound, var_bound)
 
 
@@ -237,12 +229,13 @@ def level0_allocation_variance(tally: CorrectorTally, k: float) -> float:
     return max(level0_moments(tally).var_bound, smoothed)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def cost_per_sample(level: int, schedule: LevelSchedule) -> float:
     """Expected work of one selectively refined level-l functional.
 
     It pays for the whole refinement ladder weighted by the shrinking
     fraction of realizations that reach each rung:
-    sum_{j=0..l} gamma**((1-q) j).
+    sum_{j=0..l} gamma**((1-q) j).  Memoized per (level, schedule).
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -265,6 +258,7 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
     at one sample per level.  If every variance is zero the constraint
     is vacuous and the allocation degenerates to one sample everywhere.
     Raises ValueError when a size is not finite or reaches 2**63.
+    ``total`` is numpy's (pairwise) sum; the rest runs on Python floats.
     """
     v = np.asarray(variances, dtype=np.float64)
     c = np.asarray(costs, dtype=np.float64)
@@ -272,15 +266,17 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
         raise ValueError("variances and costs must be equal-length 1-D sequences")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if np.any(v < 0.0) or np.any(c <= 0.0):
+    v, c = v.tolist(), c.tolist()
+    if any(vl < 0.0 or cl <= 0.0 for vl, cl in zip(v, c)):
         raise ValueError("variances must be >= 0 and costs > 0")
-    total = np.sum(np.sqrt(v * c))
+    total = float(np.add.reduce(np.array([math.sqrt(vl * cl) for vl, cl in zip(v, c)])))
     if total == 0.0:
-        return np.ones(v.size, dtype=np.int64)
-    raw = 2.0 * epsilon ** -2 * np.sqrt(v / c) * total
-    if not np.all(raw < 2.0 ** 63):  # also catches NaN and inf
-        raise ValueError(f"sample sizes {raw.tolist()} do not fit a 64-bit count")
-    return np.maximum(np.ceil(raw).astype(np.int64), 1)
+        return np.ones(len(v), dtype=np.int64)
+    scale = float(2.0 * epsilon ** -2)
+    raw = [scale * math.sqrt(vl / cl) * total for vl, cl in zip(v, c)]
+    if not all(r < 2.0 ** 63 for r in raw):  # also catches NaN and inf
+        raise ValueError(f"sample sizes {raw} do not fit a 64-bit count")
+    return np.array([max(math.ceil(r), 1) for r in raw], dtype=np.int64)
 
 
 def optimal_allocation(

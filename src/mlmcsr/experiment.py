@@ -422,11 +422,21 @@ def theoretical_cost(method: str, q: float, epsilon: float) -> float:
     mc:      eps^-(2+q)
     mlmc:    eps^-2 (q<1), eps^-2 log(1/eps)^2 (q=1), eps^-(1+q) (q>1)
     mlmc-sr: eps^-2 (q<2), eps^-2 log(1/eps)^2 (q=2), eps^-q  (q>2)
-    """
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    Raises ValueError unless q and epsilon are finite and positive and
+    the work fits a float."""
+    for name, value in (("q", q), ("epsilon", epsilon)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    try:
+        work = _theoretical_cost(method, q, epsilon)
+    except OverflowError:
+        work = math.inf
+    if not math.isfinite(work):
+        raise ValueError(f"{method} work at epsilon={epsilon}, q={q} overflows a float")
+    return work
+
+
+def _theoretical_cost(method: str, q: float, epsilon: float) -> float:
     log2 = math.log(1.0 / epsilon) ** 2
     if method == "mc":
         return epsilon ** -(2.0 + q)

@@ -141,7 +141,9 @@ class SyntheticNormalModel:
         u *= tolerance
         u /= 1.0 + self.b
         u += batch.omega[rows]
-        return u, np.full(len(sel), self.work_units(tolerance))
+        works = np.empty(len(sel))
+        works.fill(self.work_units(tolerance))
+        return u, works
 
     def exact_batch(self, batch: _SyntheticBatch) -> np.ndarray:
         return batch.omega

@@ -135,25 +135,26 @@ def _refine(
         raise ValueError(f"unknown refinement rule {rule!r}")
     everyone = np.arange(n, dtype=np.int64)
     value, cost = model.solve_batch(batch, everyone, 1.0, 0)
-    sizes = np.zeros(level + 2, dtype=np.int64)
-    sizes[0] = n
+    sizes = [n] + [0] * (level + 1)
+    tolerances = [schedule.tolerance(t) for t in range(level + 2)]
     coarse = (np.zeros(n, dtype=bool), np.zeros(n)) if level == 0 else None
     first = 1 if rule == "certified" else 0  # rung t is guarded by gamma**(t - first)
-    active = np.flatnonzero(np.abs(value - y) < 1.0) if level >= first else None
+    active = (np.abs(value - y) < 1.0).nonzero()[0] if level >= first else None
     for t in range(first, level + 1):
         if active.size == 0:
             break
         if t == level and coarse is None:
             coarse = (value <= y, cost.copy())
-        v, w = model.solve_batch(batch, active, schedule.tolerance(t), t)
+        v, w = model.solve_batch(batch, active, tolerances[t], t)
         value[active] = v
         cost[active] += w
         if t:
             sizes[t] = active.size
-        active = active[np.abs(v - y) < schedule.tolerance(t + 1 - first)]
+        active = active[np.abs(v - y) < tolerances[t + 1 - first]]
     if coarse is None:
         coarse = (value <= y, cost.copy())
-    return value, cost, sizes[:-1] - sizes[1:], coarse[0], coarse[1]
+    stop_counts = np.array([a - b for a, b in zip(sizes, sizes[1:])], dtype=np.int64)
+    return value, cost, stop_counts, coarse[0], coarse[1]
 
 
 def _draw_one(model: ModelContract, sid: SampleId) -> Any:

@@ -32,6 +32,7 @@ _MIX_B = 0x94D049BB133111EB
 _N_GOLDEN = np.uint64(_GOLDEN)
 _N_MIX_A = np.uint64(_MIX_A)
 _N_MIX_B = np.uint64(_MIX_B)
+_N_30, _N_27, _N_31, _N_11 = (np.uint64(k) for k in (30, 27, 31, 11))
 _U53 = 2.0 ** -53
 
 
@@ -51,13 +52,15 @@ def derive_key(seed: int, *salts: int) -> int:
     with different salt paths are unrelated for all practical purposes.
     ``seed`` and the salts are integers, numpy integers included; a float
     raises ``TypeError``.  Keys are memoized: every chunk of a run asks
-    for the same few.  The cache is typed, so a float equal to a cached
-    int still reaches the check instead of the cached key.
+    for the same few.  The key of a salt path's prefix comes from the
+    same cache, so a new (seed, level, slot) costs one step when its
+    (seed, level) is cached.  The cache is typed, so a float equal to a
+    cached int still reaches the check instead of the cached key.
     """
-    key = mix64(operator.index(seed))
-    for s in salts:
-        key = mix64((key + (operator.index(s) + 1) * _GOLDEN) & _MASK)
-    return key
+    if not salts:
+        return mix64(operator.index(seed))
+    key = derive_key(seed, *salts[:-1])
+    return mix64((key + (operator.index(salts[-1]) + 1) * _GOLDEN) & _MASK)
 
 
 def _counter_words(key: int, counters: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -66,21 +69,15 @@ def _counter_words(key: int, counters: np.ndarray, scratch: np.ndarray) -> np.nd
     # (c + 1) * GOLDEN + key == c * GOLDEN + (GOLDEN + key) modulo 2**64
     z = np.multiply(np.asarray(counters, dtype=np.uint64), _N_GOLDEN)
     z += np.uint64((key + _GOLDEN) & _MASK)
-    np.right_shift(z, np.uint64(30), out=scratch)
+    np.right_shift(z, _N_30, out=scratch)
     np.bitwise_xor(z, scratch, out=z)
     np.multiply(z, _N_MIX_A, out=z)
-    np.right_shift(z, np.uint64(27), out=scratch)
+    np.right_shift(z, _N_27, out=scratch)
     np.bitwise_xor(z, scratch, out=z)
     np.multiply(z, _N_MIX_B, out=z)
-    np.right_shift(z, np.uint64(31), out=scratch)
+    np.right_shift(z, _N_31, out=scratch)
     np.bitwise_xor(z, scratch, out=z)
     return z
-
-
-def raw_at(key: int, counters: np.ndarray) -> np.ndarray:
-    """64-bit words of the stream ``key`` at the given counter positions."""
-    counters = np.asarray(counters)
-    return _counter_words(key, counters, np.empty(counters.shape, dtype=np.uint64))
 
 
 def uniform_at(key: int, counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -93,8 +90,8 @@ def uniform_at(key: int, counters: np.ndarray, out: np.ndarray | None = None) ->
     counters = np.asarray(counters)
     if out is None:
         out = np.empty(counters.shape, dtype=np.float64)
-    z =_counter_words(key, counters, out.view(np.uint64))
-    np.right_shift(z, np.uint64(11), out=z)
+    z = _counter_words(key, counters, out.view(np.uint64))
+    np.right_shift(z, _N_11, out=z)
     out[...] = z
     out += 0.5
     out *= _U53

@@ -132,6 +132,18 @@ def test_rates_prints_reference_row(capsys):
     assert "1000" in out    # mlmc-sr at q=3: eps^-3
 
 
+@pytest.mark.parametrize("flags, fragment", [
+    (["--epsilon", "nan"], "epsilon must be finite"),
+    (["--epsilon", "inf"], "epsilon must be finite"),
+    (["--q", "nan"], "q must be finite"),
+    (["--q", "1", "inf"], "q must be finite"),
+    (["--epsilon", "1e-320"], "overflows"),
+])
+def test_rates_rejects_non_finite_and_overflowing_inputs(capsys, flags, fragment):
+    assert main(["rates", *flags]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_models_list(capsys):
     assert main(["models", "list"]) == 0
     out = capsys.readouterr().out

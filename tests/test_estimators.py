@@ -103,6 +103,25 @@ def test_corrector_moments_prior_only():
     assert m.var_bound == 1.0
 
 
+def test_corrector_moments_match_the_shrinkage_estimates_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(5000):
+        n = int(rng.choice([0, 1, 2, int(rng.integers(0, 1000)), int(rng.integers(0, 2 ** 53))]))
+        n_plus = int(rng.integers(0, n + 1))
+        n_minus = int(rng.integers(0, n - n_plus + 1))
+        k = float(rng.choice([1.0, 0.5, 1e-300, 1e300, float(rng.uniform(0.01, 100.0))]))
+        tally = CorrectorTally(int(rng.integers(1, 31)), n=n, n_plus=n_plus, n_minus=n_minus)
+        expected = MomentEstimates(
+            tally.level,
+            max(shrinkage_estimate(n_plus, n, k), shrinkage_estimate(n_minus, n, k)),
+            shrinkage_estimate(n_plus + n_minus, n, k),
+        )
+        assert corrector_moments(tally, k) == expected
+    for k in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            corrector_moments(CorrectorTally(1, n=3, n_plus=1), k)
+
+
 def test_corrector_moments_rejects_level0():
     with pytest.raises(ValueError):
         corrector_moments(tally_from_values([1, 0]), k=1.0)
@@ -128,12 +147,15 @@ def test_level0_moments_needs_two_observations():
 
 
 def test_tally_merge_and_invariants():
+    # counts merge by adding to the fields, as the drivers do per chunk
     a = CorrectorTally(3, n=10, n_plus=2, n_minus=1)
-    b = CorrectorTally(3, n=5, n_plus=0, n_minus=3)
-    a.merge(b)
+    a.n += 5
+    a.n_minus += 3
+    a.check()
     assert (a.n, a.n_plus, a.n_minus) == (15, 2, 4)
+    a.n_plus += 10
     with pytest.raises(ValueError):
-        a.merge(CorrectorTally(2))
+        a.check()
     with pytest.raises(ValueError):
         CorrectorTally(1, n=2, n_plus=2, n_minus=1)
     with pytest.raises(ValueError):
@@ -201,6 +223,110 @@ def test_allocate_rejects_sizes_beyond_int64():
         allocate([1.0], [1.0], 2.0 ** -31)  # exactly 2**63
     with pytest.raises(ValueError):
         allocate([math.inf, 1.0], [1.0, 1.0], 0.1)
+
+
+def reference_allocate(variances, costs, epsilon):
+    """The numpy formulation of ``allocate``: the same sizes, dtype and errors."""
+    v = np.asarray(variances, dtype=np.float64)
+    c = np.asarray(costs, dtype=np.float64)
+    if v.shape != c.shape or v.ndim != 1 or v.size == 0:
+        raise ValueError("variances and costs must be equal-length 1-D sequences")
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if np.any(v < 0.0) or np.any(c <= 0.0):
+        raise ValueError("variances must be >= 0 and costs > 0")
+    total = np.sum(np.sqrt(v * c))
+    if total == 0.0:
+        return np.ones(v.size, dtype=np.int64)
+    raw = 2.0 * epsilon ** -2 * np.sqrt(v / c) * total
+    if not np.all(raw < 2.0 ** 63):  # also catches NaN and inf
+        raise ValueError(f"sample sizes {raw.tolist()} do not fit a 64-bit count")
+    return np.maximum(np.ceil(raw).astype(np.int64), 1)
+
+
+def outcome(fn, *args):
+    """(sizes, dtype) of a returned allocation, or ("error", message)."""
+    try:
+        sizes = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return sizes.tolist(), sizes.dtype
+
+
+def random_allocation_inputs(rng):
+    """Variances, costs and epsilon mixing ordinary, zero, tiny, huge and
+    non-finite values; about a third of the epsilons put the largest
+    size within a few ulps of 2**63."""
+    levels = int(rng.integers(1, 32))
+    pools = {
+        "ordinary": lambda: float(rng.uniform(1e-6, 10.0)),
+        "zero": lambda: 0.0,
+        "tiny": lambda: float(10.0 ** rng.uniform(-320, -30)),
+        "huge": lambda: float(10.0 ** rng.uniform(30, 308)),
+        "non-finite": lambda: float(rng.choice([np.nan, np.inf, -np.inf])),
+        "negative": lambda: -float(rng.uniform(0.0, 1.0)),
+    }
+    weights = {"ordinary": 0.7, "zero": 0.08, "tiny": 0.08, "huge": 0.08,
+               "non-finite": 0.03, "negative": 0.03}
+    names, p = list(weights), list(weights.values())
+
+    def draw():
+        return pools[names[rng.choice(len(names), p=p)]]()
+
+    mixed = rng.random() < 0.5
+    v = [draw() if mixed else pools["ordinary"]() for _ in range(levels)]
+    c = [draw() if mixed else float(rng.uniform(1.0, 1e4)) for _ in range(levels)]
+    kind = rng.integers(3)
+    if kind == 0:
+        epsilon = float(10.0 ** rng.uniform(-6, 0))
+    elif kind == 1:
+        epsilon = float(rng.choice([0.0, -0.1, 1e-200]))
+    else:
+        with np.errstate(all="ignore"):
+            va, ca = np.asarray(v), np.asarray(c)
+            largest = np.max(np.sqrt(va / ca)) * np.sum(np.sqrt(va * ca))
+            epsilon = float(np.sqrt(2.0 * largest / 2.0 ** 63))
+        if math.isfinite(epsilon) and epsilon > 0.0:
+            for _ in range(int(rng.integers(-3, 4))):
+                epsilon = math.nextafter(epsilon, math.inf)
+        else:
+            epsilon = 0.1
+    return v, c, epsilon
+
+
+def test_allocate_matches_the_numpy_formulation_bit_for_bit():
+    rng = np.random.default_rng(20260417)
+    seen = set()
+    for _ in range(3000):
+        v, c, epsilon = random_allocation_inputs(rng)
+        for args in ((v, c, epsilon), (np.asarray(v), np.asarray(c), np.float64(epsilon))):
+            try:
+                with np.errstate(all="ignore"):
+                    expected = outcome(reference_allocate, *args)
+            except OverflowError:  # epsilon ** -2 of a Python float
+                with pytest.raises(OverflowError):
+                    allocate(*args)
+                continue
+            with np.errstate(all="ignore"):  # the same of a numpy float: inf
+                assert outcome(allocate, *args) == expected, args
+            if expected[0] == "error":
+                seen.add(expected[1].split()[0])
+            else:
+                seen.add("sizes")
+                if max(expected[0]) > 2 ** 62:
+                    seen.add("near 2**63")
+    assert seen >= {"sizes", "near 2**63", "sample", "variances", "epsilon"}
+    for args in (([1.0, 2.0], [1.0], 0.1), ([], [], 0.1), ([[1.0]], [[1.0]], 0.1),
+                 (1.0, 1.0, 0.1), ([1, 0], [3, 1], 0.01), ([0.0], [1.0], 0.5)):
+        assert outcome(allocate, *args) == outcome(reference_allocate, *args)
+
+
+def test_cost_memo_returns_the_computed_costs():
+    for sched in (LevelSchedule(0.5, 2.0), LevelSchedule(0.3, 1.5), LevelSchedule(0.5, 1)):
+        for level in range(32):
+            assert cost_per_sample(level, sched) == cost_per_sample.__wrapped__(level, sched)
+    with pytest.raises(ValueError):
+        cost_per_sample(-1, LevelSchedule())
 
 
 def test_optimal_allocation_wires_cost_model():

@@ -1,6 +1,7 @@
 """Experiment engine: config handling, CSV round-trips, rate arithmetic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ def test_theoretical_cost_rejects():
         theoretical_cost("mc", 1.0, 0.0)
 
 
+def test_theoretical_cost_rejects_non_finite_and_overflowing_inputs():
+    nan, inf = float("nan"), float("inf")
+    for q, epsilon, name in ((nan, 0.1, "q"), (inf, 0.1, "q"), (-inf, 0.1, "q"),
+                             (1.0, nan, "epsilon"), (1.0, inf, "epsilon")):
+        for method in ("mc", "mlmc", "mlmc-sr"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                theoretical_cost(method, q, epsilon)
+    # a power beyond the float range (OverflowError), and a finite power
+    # whose product with the log factor is inf
+    for method, q, epsilon in (("mc", 1.0, 1e-320), ("mlmc-sr", 3.0, 1e-200),
+                               ("mlmc", 1.0, 1e-154), ("mc", 1e6, 0.5)):
+        with pytest.raises(ValueError, match="overflows"):
+            theoretical_cost(method, q, epsilon)
+    assert theoretical_cost("mlmc-sr", 1.0, 1e-150) == pytest.approx(1e300)
+
+
 def test_fit_cost_slope_exact_power_law():
     eps = np.logspace(-3, -1, 8)
     fit = fit_cost_slope([(e, 20.0 * e ** -2) for e in eps], q=1.0)
@@ -241,6 +258,21 @@ def test_thread_count_does_not_change_report():
     many = run_experiment(small_config(runs=6, threads=3))
     assert one.rows == many.rows
     assert one.summaries == many.summaries
+
+
+def test_pooled_runs_share_one_model_like_a_single_thread():
+    # two runs at once on one model object, for both methods, and twice in
+    # a row: every row and summary equals the one-thread report
+    for method in ("mc", "mlmc-sr"):
+        cfg = small_config(model_name="synthetic-normal", q=2.0, runs=32, method=method,
+                           epsilons=[0.1, 0.046415888336127774], seed=100_000)
+        one = run_experiment(cfg)
+        for _ in range(2):
+            two = run_experiment(replace(cfg, threads=2))
+            assert two.rows == one.rows
+            assert two.summaries == one.summaries
+            for a, b in zip(two.histograms, one.histograms):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):

@@ -1,20 +1,34 @@
 """Counter-based random stream: determinism, quality, batch independence."""
 
+import operator
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from mlmcsr.streams import (
+    _counter_words,
     derive_key,
     mix64,
     normal_at,
-    raw_at,
     uniform_at,
 )
 
 KEY = derive_key(12345, 3, 0)
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
+
+
+def words_at(key, counters):
+    return _counter_words(key, counters, np.empty(counters.shape, dtype=np.uint64))
+
+
+def salt_walk(seed, *salts):
+    """A key by the definition: one salted splitmix64 step per salt."""
+    key = mix64(operator.index(seed))
+    for s in salts:
+        key = mix64((key + (operator.index(s) + 1) * GOLDEN) & MASK)
+    return key
 
 
 def test_mix64_is_a_bijection_probe():
@@ -45,11 +59,14 @@ def test_derive_key_takes_numpy_integers_and_rejects_floats():
 def test_derive_key_cache_returns_the_uncached_keys():
     assert derive_key.cache_info().maxsize is not None
     seeds = [0, 1, 7, 2 ** 64 - 1, 2 ** 70, -3, np.int64(9), np.uint32(11)]
-    salts = [(), (0,), (3, 0), (2, 5, 1), (np.int64(4), 2)]
-    for _ in range(2):  # second pass reads the cache
+    salts = [(), (0,), (3, 0), (2, 5, 1), (np.int64(4), 2), (3, 0, 6)]
+    derive_key.cache_clear()
+    # longest paths first, so that later ones find their prefixes cached;
+    # the second pass reads every key from the cache
+    for order in (salts[::-1], salts):
         for seed in seeds:
-            for path in salts:
-                assert derive_key(seed, *path) == derive_key.__wrapped__(seed, *path)
+            for path in order:
+                assert derive_key(seed, *path) == salt_walk(seed, *path)
 
 
 def test_counters_are_random_access():
@@ -69,7 +86,7 @@ def test_batch_boundaries_do_not_matter():
 
 
 def test_raw_values_unique_over_a_million():
-    raw = raw_at(KEY, np.arange(1_000_000, dtype=np.uint64))
+    raw = words_at(KEY, np.arange(1_000_000, dtype=np.uint64))
     assert np.unique(raw).size == 1_000_000
 
 
@@ -119,7 +136,7 @@ def test_counter_edges_match_splitmix64_reference():
     arr = np.array(counters, dtype=np.uint64)
     for key in (0, MASK, KEY):
         words = [mix64((key + (c + 1) * GOLDEN) & MASK) for c in counters]
-        assert raw_at(key, arr).tolist() == words
+        assert words_at(key, arr).tolist() == words
         expected = [((w >> 11) + 0.5) * 2.0 ** -53 for w in words]
         assert uniform_at(key, arr).tolist() == expected
     assert arr.tolist() == counters
