@@ -153,7 +153,7 @@ def _extend_level(
         tally.n_plus += int(np.count_nonzero(batch.q_fine > batch.q_coarse))
         tally.n_minus += int(np.count_nonzero(batch.q_fine < batch.q_coarse))
         state.histogram += batch.stop_counts
-        state.cost += float(batch.cost_fine.sum() + batch.cost_coarse.sum())
+        state.cost += float(batch.cost_fine.sum())  # the coarse solves are in it
     tally.check()
     state.n_drawn = hi
 
@@ -252,7 +252,9 @@ def run_mc_baseline(
     A pilot walks down the ladder until the estimated remaining bias
     fits epsilon/sqrt(2); plain MC then runs at that one level with a
     sample size meeting the variance half of the budget.  Every solve
-    is a full solve at the level tolerance.  The record's single level
+    is a full solve at the level tolerance.  The pilot draws in chunks,
+    and a pilot that could not meet the threshold even at ``max_level``
+    fails before it draws anything.  The record's single level
     entry's tally counts the hits in ``n_plus`` (there are no correctors
     in this method); the termination trace holds the pilot's (level,
     bias_bound, threshold) rows.
@@ -261,45 +263,77 @@ def run_mc_baseline(
         return _run_mc_baseline(model, config, seed, pool)
 
 
+def _pilot_bias_floor(config: EstimatorConfig) -> float:
+    """The least bias bound the mc pilot can reach, at ``max_level``.
+
+    A pilot tally of n rows has a mean bound of at least k / (n + k),
+    and n grows with the level.  The float operations are those of
+    ``corrector_moments`` and ``bias_bound``, so no computed bound at
+    any pilot level falls below this one.
+    """
+    try:
+        n = math.ceil(config.N * config.gamma ** -config.max_level)
+    except OverflowError:  # too many rows to ever draw: no useful floor
+        return 0.0
+    return config.k / (n + config.k) / (1.0 / config.gamma - 1.0)
+
+
 def _run_mc_baseline(model, config, seed, pool):
     """The body of ``run_mc_baseline``, with its worker pool open."""
     sched = config.schedule
     threshold = config.epsilon / math.sqrt(2.0)
     trace: list[tuple[int, float, float]] = []
 
+    def failure(pilot_cost):
+        return NonConvergenceError(RunRecord(config, seed, "mc", False, math.nan,
+                                             math.nan, config.max_level, [],
+                                             pilot_cost, trace))
+
+    if _pilot_bias_floor(config) >= threshold:
+        raise failure(0.0)
+
     pilot_cost = 0.0
-    pilot_fine: tuple[np.ndarray, np.ndarray] | None = None
     star = None
     for L in range(1, config.max_level + 1):
         n_pilot = math.ceil(config.N * config.gamma ** -L)
-        batch = model.draw_batch(seed, L, 0, n_pilot)
-        qf, wf = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L))
-        qc, wc = _full_indicators(model, batch, n_pilot, L, config.y, sched.tolerance(L - 1))
-        pilot_cost += float(wc.sum())
-        tally = CorrectorTally(L, n=n_pilot, n_plus=int(np.count_nonzero(qf > qc)),
-                               n_minus=int(np.count_nonzero(qf < qc)))
+        fine_tol, coarse_tol = sched.tolerance(L), sched.tolerance(L - 1)
+
+        def pilot(bounds):
+            a, b = bounds
+            batch = model.draw_batch(seed, L, a, b)
+            qf, wf = _full_indicators(model, batch, b - a, L, config.y, fine_tol)
+            qc, wc = _full_indicators(model, batch, b - a, L, config.y, coarse_tol)
+            return (int(np.count_nonzero(qf > qc)), int(np.count_nonzero(qf < qc)),
+                    int(np.count_nonzero(qf)), float(wf.sum()), float(wc.sum()))
+
+        tally = CorrectorTally(L, n=n_pilot)
+        n_hits, fine_cost, coarse_cost = 0, 0.0, 0.0
+        for n_plus, n_minus, h, wf, wc in _map_chunks(pilot, 0, n_pilot,
+                                                      model.batch_chunk, pool):
+            tally.n_plus += n_plus
+            tally.n_minus += n_minus
+            n_hits += h
+            fine_cost += wf
+            coarse_cost += wc
+        tally.check()
+        pilot_cost += coarse_cost
         bias = bias_bound(corrector_moments(tally, config.k), config.gamma)
         trace.append((L, bias, threshold))
         if bias < threshold:
             star = L
-            pilot_fine = (qf, wf)
             break
-        pilot_cost += float(wf.sum())
+        pilot_cost += fine_cost
 
     if star is None:
-        empty = RunRecord(config, seed, "mc", False, math.nan, math.nan,
-                          config.max_level, [], pilot_cost, trace)
-        raise NonConvergenceError(empty)
+        raise failure(pilot_cost)
 
-    qf, wf = pilot_fine
-    n_pilot = qf.size
-    p_hat = float(qf.mean())
+    p_hat = n_hits / n_pilot
     s2 = n_pilot / (n_pilot - 1) * p_hat * (1.0 - p_hat) if n_pilot > 1 else 0.0
     n_mc = max(n_pilot, math.ceil(2.0 * s2 / config.epsilon ** 2))
 
-    hits = CorrectorTally(star, n=n_pilot, n_plus=int(np.count_nonzero(qf)))
+    hits = CorrectorTally(star, n=n_pilot, n_plus=n_hits)
     state = LevelState(star, hits, histogram=np.zeros(star + 1, dtype=np.int64))
-    state.cost = float(wf.sum())
+    state.cost = fine_cost
     tol = sched.tolerance(star)
 
     def work(bounds):

@@ -36,7 +36,6 @@ __all__ = [
     "level0_moments",
     "level0_allocation_variance",
     "cost_per_sample",
-    "corrector_cost",
     "allocate",
     "optimal_allocation",
     "mlmc_combine",
@@ -53,6 +52,10 @@ def is_integer(value) -> bool:
     """True for an integer (numpy's included) that is not a bool: what a
     count, a level or a seed must be."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _tiny_epsilon(epsilon) -> str:
+    return f"epsilon={epsilon} is too small: 2 * epsilon**-2 overflows a float"
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,12 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        try:
+            scale = 2.0 * float(self.epsilon) ** -2  # allocate's variance scale
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ValueError(_tiny_epsilon(self.epsilon))
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.k <= 0.0:
@@ -231,24 +240,19 @@ def level0_allocation_variance(tally: CorrectorTally, k: float) -> float:
 
 @functools.lru_cache(maxsize=1024, typed=True)
 def cost_per_sample(level: int, schedule: LevelSchedule) -> float:
-    """Expected work of one selectively refined level-l functional.
+    """Expected work of one level-l corrector sample.
 
-    It pays for the whole refinement ladder weighted by the shrinking
-    fraction of realizations that reach each rung:
-    sum_{j=0..l} gamma**((1-q) j).  Memoized per (level, schedule).
+    That is the selectively refined level-l functional alone: the
+    level-(l-1) functional is the same refinement before its last rung,
+    so its solves are already paid for.  It pays for the whole
+    refinement ladder weighted by the shrinking fraction of
+    realizations that reach each rung: sum_{j=0..l} gamma**((1-q) j).
+    Memoized per (level, schedule).
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     r = schedule.gamma ** (1.0 - schedule.q)
     return float(sum(r ** j for j in range(level + 1)))
-
-
-def corrector_cost(level: int, schedule: LevelSchedule) -> float:
-    """Work of one corrector sample: the level-l and level-(l-1) solves."""
-    c = cost_per_sample(level, schedule)
-    if level >= 1:
-        c += cost_per_sample(level - 1, schedule)
-    return c
 
 
 def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float) -> np.ndarray:
@@ -257,7 +261,8 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
     N_l = ceil(2 eps^-2 sqrt(V_l / c_l) * sum_k sqrt(V_k c_k)), floored
     at one sample per level.  If every variance is zero the constraint
     is vacuous and the allocation degenerates to one sample everywhere.
-    Raises ValueError when a size is not finite or reaches 2**63.
+    Raises ValueError when a size is not finite or reaches 2**63, or
+    when epsilon**-2 overflows.
     ``total`` is numpy's (pairwise) sum; the rest runs on Python floats.
     """
     v = np.asarray(variances, dtype=np.float64)
@@ -272,7 +277,10 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
     total = float(np.add.reduce(np.array([math.sqrt(vl * cl) for vl, cl in zip(v, c)])))
     if total == 0.0:
         return np.ones(len(v), dtype=np.int64)
-    scale = float(2.0 * epsilon ** -2)
+    try:
+        scale = float(2.0 * epsilon ** -2)
+    except OverflowError:  # a Python float's power; a numpy float's is inf
+        raise ValueError(_tiny_epsilon(epsilon)) from None
     raw = [scale * math.sqrt(vl / cl) * total for vl, cl in zip(v, c)]
     if not all(r < 2.0 ** 63 for r in raw):  # also catches NaN and inf
         raise ValueError(f"sample sizes {raw} do not fit a 64-bit count")
@@ -291,7 +299,7 @@ def optimal_allocation(
     if levels != list(range(len(moments))):
         raise ValueError(f"moments must cover levels 0..L contiguously, got {levels}")
     variances = [m.var_bound for m in moments]
-    costs = [corrector_cost(l, schedule) for l in levels]
+    costs = [cost_per_sample(l, schedule) for l in levels]
     return allocate(variances, costs, epsilon)
 
 

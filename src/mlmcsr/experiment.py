@@ -106,7 +106,8 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         try:
-            self.estimator_config(self.epsilons[0])
+            for epsilon in self.epsilons:
+                self.estimator_config(epsilon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -120,15 +120,15 @@ def _refine(
     y: float,
     schedule: LevelSchedule,
     rule: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refine rows 0..n-1 of a drawn batch to ``level`` around ``y``.
 
     Returns (value, cost, stop_counts) of the level-l functional and
-    (q_coarse, cost_coarse) of the level-(l-1) one.  Both share each
-    row's tolerance-indexed solves, so the coarse functional is the
-    fine one as it stood before the solve at rung ``level``; at level 0
-    it is all False at zero cost.  ``stop_counts[t]`` is the number of
-    rows whose refinement stopped at rung t: |A_t| - |A_(t+1)| for the
+    the level-(l-1) indicator q_coarse.  The coarse functional is the
+    fine one as it stood before the solve at rung ``level``: its solves
+    are a prefix of the fine ones, so ``cost`` is the work of both; at
+    level 0 it is all False.  ``stop_counts[t]`` is the number of rows
+    whose refinement stopped at rung t: |A_t| - |A_(t+1)| for the
     active sets A_t solved at rung t, with A_0 all rows.
     """
     if rule not in ("certified", "printed"):
@@ -137,24 +137,24 @@ def _refine(
     value, cost = model.solve_batch(batch, everyone, 1.0, 0)
     sizes = [n] + [0] * (level + 1)
     tolerances = [schedule.tolerance(t) for t in range(level + 2)]
-    coarse = (np.zeros(n, dtype=bool), np.zeros(n)) if level == 0 else None
+    q_coarse = np.zeros(n, dtype=bool) if level == 0 else None
     first = 1 if rule == "certified" else 0  # rung t is guarded by gamma**(t - first)
     active = (np.abs(value - y) < 1.0).nonzero()[0] if level >= first else None
     for t in range(first, level + 1):
         if active.size == 0:
             break
-        if t == level and coarse is None:
-            coarse = (value <= y, cost.copy())
+        if t == level and q_coarse is None:
+            q_coarse = value <= y
         v, w = model.solve_batch(batch, active, tolerances[t], t)
         value[active] = v
         cost[active] += w
         if t:
             sizes[t] = active.size
         active = active[np.abs(v - y) < tolerances[t + 1 - first]]
-    if coarse is None:
-        coarse = (value <= y, cost.copy())
+    if q_coarse is None:
+        q_coarse = value <= y
     stop_counts = np.array([a - b for a, b in zip(sizes, sizes[1:])], dtype=np.int64)
-    return value, cost, stop_counts, coarse[0], coarse[1]
+    return value, cost, stop_counts, q_coarse
 
 
 def _draw_one(model: ModelContract, sid: SampleId) -> Any:
@@ -182,7 +182,7 @@ def solve_selective(
     else:
         handle = sid_or_handle
         sid = SampleId(handle.seed, handle.level, handle.lo)
-    value, cost, stop_counts, _, _ = _refine(model, handle, 1, level, y, schedule, rule)
+    value, cost, stop_counts, _ = _refine(model, handle, 1, level, y, schedule, rule)
     achieved = int(np.flatnonzero(stop_counts)[0])
     return RealizationState(sid, level, float(value[0]), achieved, float(cost[0]))
 
@@ -208,8 +208,10 @@ class CorrectorBatch:
 
     ``q_fine`` / ``q_coarse`` are the level-l and level-(l-1) indicator
     values (``q_coarse`` is all False at level 0, where the corrector
-    is the indicator itself), ``cost_fine`` / ``cost_coarse`` the work
-    of the two solves.  ``stop_counts`` has one entry per ladder index
+    is the indicator itself).  ``cost_fine`` is the work of the fine
+    refinement, which is the corrector's whole work: the coarse
+    functional is that refinement before its last rung and makes no
+    solve of its own.  ``stop_counts`` has one entry per ladder index
     0..level: how many of the realizations' fine refinements stopped
     there, so it sums to hi - lo (per-row stops come from
     ``solve_selective``).
@@ -221,7 +223,6 @@ class CorrectorBatch:
     q_fine: np.ndarray
     q_coarse: np.ndarray
     cost_fine: np.ndarray
-    cost_coarse: np.ndarray
     stop_counts: np.ndarray
 
 
@@ -237,14 +238,12 @@ def sample_corrector_batch(
 ) -> CorrectorBatch:
     """Draw and refine realizations lo..hi-1 of one level, both functionals.
 
-    The level-l and level-(l-1) solves share each realization and its
-    tolerance-indexed randomness, so the pair costs little more than
-    the fine solve alone.
+    The level-(l-1) functional reuses the level-l refinement's solves,
+    so the pair costs exactly the fine refinement.
     """
     if hi < lo:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
     n = hi - lo
     batch = model.draw_batch(seed, level, lo, hi)
-    value, cost_f, stop_counts, q_c, cost_c = _refine(model, batch, n, level, y,
-                                                      schedule, rule)
-    return CorrectorBatch(level, lo, hi, value <= y, q_c, cost_f, cost_c, stop_counts)
+    value, cost, stop_counts, q_coarse = _refine(model, batch, n, level, y, schedule, rule)
+    return CorrectorBatch(level, lo, hi, value <= y, q_coarse, cost, stop_counts)

@@ -116,6 +116,26 @@ def test_level_cap_is_nonconvergence_exit(tmp_path, capsys):
     assert "no convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilons", [[1e-200], [0.1, 1e-200]])
+def test_epsilon_too_small_to_square_is_config_error(tmp_path, capsys, epsilons):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"name": "synthetic-normal"},
+                                "y": 0.8, "epsilons": epsilons, "runs": 1}))
+    for method in ("mlmc-sr", "mc"):
+        assert main(["estimate", "--config", str(path), "--method", method]) == 2
+        assert "too small" in capsys.readouterr().err
+
+
+def test_mc_pilot_that_cannot_converge_exits_before_drawing(tmp_path, capsys):
+    # at epsilon 1e-12 even the level-30 pilot of 10 * 2**30 rows keeps a
+    # bias bound near 1e-10, so the run must fail at once, not draw them
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"name": "synthetic-normal"},
+                                "y": 0.8, "epsilons": [1e-12], "runs": 1}))
+    assert main(["estimate", "--config", str(path), "--method", "mc"]) == 3
+    assert "no convergence" in capsys.readouterr().err
+
+
 def test_unwritable_output_dir_is_io_error(config_path, tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("")  # a file where the directory should go

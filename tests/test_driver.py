@@ -154,9 +154,8 @@ def test_constant_model_mlmc_sr_is_exact():
     assert rec.final_L == 2  # earliest level the stop rule may fire at
     for ls in rec.per_level:
         # |value - y| = 3.8 > 1 kills the guard immediately: one solve at
-        # tolerance 1 (unit work) per functional, so costs count solves
-        functionals = 1 if ls.level == 0 else 2
-        assert ls.cost == functionals * ls.n_drawn
+        # tolerance 1 (unit work) per corrector, which both functionals share
+        assert ls.cost == ls.n_drawn
         assert ls.histogram[0] == ls.n_drawn
         assert np.sum(ls.histogram[1:]) == 0
     assert rec.total_cost == sum(ls.cost for ls in rec.per_level)
@@ -260,6 +259,20 @@ def test_mlmc_sr_tallies_recount_from_samples(model, cfg):
     assert rec.estimate_raw == mlmc_combine([ls.tally for ls in rec.per_level])
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_mlmc_sr_ledger_charges_each_corrector_once(q):
+    # works are powers of two, so every summation order gives the same sum
+    model = SyntheticNormalModel(q=q)
+    cfg = EstimatorConfig(y=Y, epsilon=0.02, q=q)
+    seed = 6
+    rec = run_mlmc_sr(model, cfg, seed)
+    for ls in rec.per_level:
+        batch = sample_corrector_batch(model, seed, ls.level, 0, ls.n_drawn, cfg.y,
+                                       cfg.schedule)
+        assert ls.cost == float(batch.cost_fine.sum())
+    assert rec.total_cost == sum(ls.cost for ls in rec.per_level)
+
+
 @pytest.mark.parametrize("model, cfg", [
     # n_mc spans several chunks past the pilot
     (SyntheticNormalModel(q=1.0), EstimatorConfig(y=Y, epsilon=0.003)),
@@ -275,6 +288,18 @@ def test_mc_baseline_tally_recounts_from_samples(model, cfg):
     hits = int(np.count_nonzero(values <= cfg.y))
     assert (state.tally.n, state.tally.n_plus, state.tally.n_minus) == (n_mc, hits, 0)
     assert rec.estimate_raw == hits / n_mc
+
+
+def test_mc_baseline_pilot_chunks_leave_the_record_alone():
+    # the pilot of the deciding level (q=1, epsilon=0.003) spans 20 chunks of 32
+    cfg = EstimatorConfig(y=Y, epsilon=0.003)
+    small = SyntheticNormalModel(q=1.0)
+    small.batch_chunk = 32
+    a = run_mc_baseline(SyntheticNormalModel(q=1.0), cfg, seed=4)
+    b = run_mc_baseline(small, cfg, seed=4, threads=2)
+    assert math.ceil(cfg.N * cfg.gamma ** -a.final_L) == 20 * small.batch_chunk
+    record_pairs_equal(a, b)
+    assert a.per_level[0].moments == b.per_level[0].moments
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from mlmcsr.estimators import (
     MomentEstimates,
     allocate,
     bias_bound,
-    corrector_cost,
     corrector_moments,
     cost_per_sample,
     level0_moments,
@@ -172,10 +171,13 @@ def test_cost_per_sample_point_values():
     assert cost_per_sample(5, LevelSchedule(0.5, 1.0)) == 6.0
 
 
-def test_corrector_cost_sums_both_functionals():
+def test_allocation_charges_each_corrector_its_fine_refinement():
+    # the level-(l-1) functional is the level-l refinement before its
+    # last rung, so a level-l corrector costs cost_per_sample(l) alone
     sched = LevelSchedule(gamma=0.5, q=1.0)
-    assert corrector_cost(0, sched) == 1.0
-    assert corrector_cost(3, sched) == 4.0 + 3.0
+    moments = [MomentEstimates(l, 0.0, 1.0) for l in range(4)]
+    np.testing.assert_array_equal(optimal_allocation(moments, sched, 0.1),
+                                  allocate([1.0] * 4, [1.0, 2.0, 3.0, 4.0], 0.1))
 
 
 def test_allocate_single_level_closed_form():
@@ -304,7 +306,7 @@ def test_allocate_matches_the_numpy_formulation_bit_for_bit():
                 with np.errstate(all="ignore"):
                     expected = outcome(reference_allocate, *args)
             except OverflowError:  # epsilon ** -2 of a Python float
-                with pytest.raises(OverflowError):
+                with pytest.raises(ValueError, match="too small"):
                     allocate(*args)
                 continue
             with np.errstate(all="ignore"):  # the same of a numpy float: inf
@@ -332,7 +334,7 @@ def test_cost_memo_returns_the_computed_costs():
 def test_optimal_allocation_wires_cost_model():
     sched = LevelSchedule(gamma=0.5, q=2.0)
     moments = [MomentEstimates(l, 0.0, v) for l, v in enumerate([1.0, 0.25])]
-    by_hand = allocate([1.0, 0.25], [1.0, corrector_cost(1, sched)], 0.1)
+    by_hand = allocate([1.0, 0.25], [1.0, cost_per_sample(1, sched)], 0.1)
     auto = optimal_allocation(moments, sched, 0.1)
     np.testing.assert_array_equal(auto, by_hand)
     with pytest.raises(ValueError):
@@ -469,3 +471,10 @@ def test_estimator_config_validation():
     for bad in (dict(N=2.5), dict(N=True), dict(max_level=7.5), dict(max_level="9")):
         with pytest.raises(ValueError, match="integer"):
             EstimatorConfig(y=0.8, epsilon=0.1, **bad)
+    # 2 * epsilon**-2 must be a finite float: the allocation scales by it
+    for tiny in (1e-200, 1e-154, 5e-324, np.float64(1e-200)):
+        with pytest.raises(ValueError, match="too small"):
+            EstimatorConfig(y=0.8, epsilon=tiny)
+    assert EstimatorConfig(y=0.8, epsilon=1.1e-154).epsilon == 1.1e-154
+    with pytest.raises(ValueError, match="too small"):
+        allocate([1.0], [1.0], 1e-200)
