@@ -37,17 +37,18 @@ from .estimators import (
     termination_check,
     is_integer,
 )
-from .refinement import ModelContract, sample_corrector_batch
+from .refinement import ModelContract, count_stops, sample_corrector_batch
 
 __all__ = [
     "LevelState",
     "RunRecord",
     "NonConvergenceError",
+    "OutcomeStore",
     "run_mlmc_sr",
     "run_mc_baseline",
 ]
 
-@dataclass
+@dataclass(slots=True)
 class LevelState:
     """Accumulated per-level data: tally, draw counts, stop histogram, work."""
 
@@ -128,6 +129,100 @@ def _map_chunks(fn, lo: int, hi: int, chunk: int, pool: ThreadPoolExecutor | Non
     return pool.map(fn, ranges) if pool is not None else map(fn, ranges)
 
 
+# An OutcomeStore records at most STORE_ROWS rows (about 10 bytes each),
+# all levels together, and grows by blocks of STORE_BLOCK rows.
+STORE_ROWS = 1 << 20
+STORE_BLOCK = 1 << 12
+
+
+class _LevelRows:
+    """Outcomes of rows 0..n-1 of one level, in blocks of STORE_BLOCK rows."""
+
+    def __init__(self, level: int):
+        self.n = 0
+        self._stop_dtype = np.min_scalar_type(level)
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def take(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sign, stop, cost) of rows a..b-1, where 0 <= a < b <= n."""
+        B = STORE_BLOCK
+        parts = [tuple(arr[max(a - k * B, 0):min(b - k * B, B)] for arr in self._blocks[k])
+                 for k in range(a // B, (b - 1) // B + 1)]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def append(self, a: int, rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+               room: int) -> int:
+        """Record the rows a, a+1, ... past n, at most ``room`` of them.
+
+        Returns how many were recorded: none when a > n, because the
+        store holds a prefix of the level.
+        """
+        start = self.n - a
+        if start < 0:
+            return 0
+        count = max(0, min(len(rows[0]) - start, room))
+        end = start + count
+        while start < end:
+            k, off = divmod(self.n, STORE_BLOCK)
+            if k == len(self._blocks):
+                self._blocks.append((np.empty(STORE_BLOCK, np.int8),
+                                     np.empty(STORE_BLOCK, self._stop_dtype),
+                                     np.empty(STORE_BLOCK)))
+            m = min(STORE_BLOCK - off, end - start)
+            for dst, src in zip(self._blocks[k], rows):
+                dst[off:off + m] = src[start:start + m]
+            self.n += m
+            start += m
+        return count
+
+
+class OutcomeStore:
+    """Per-row refinement outcomes of one seed, shared by the runs of a grid.
+
+    Realization (seed, level, index) is drawn and refined to the same
+    bits by every run with the same model, y, gamma and q, whatever its
+    epsilon.  A store records, per level, each refined row's corrector
+    sign (int8: q_fine - q_coarse), stop rung and cost for indices
+    0..n-1, and ``run_mlmc_sr`` folds any chunk the store covers in full
+    from those arrays instead of drawing and refining it.  The counts
+    and the per-chunk cost sums are the same numbers, so records are
+    bit-identical with or without a store.  At most STORE_ROWS rows are
+    recorded; rows past that are refined and not recorded.
+    """
+
+    def __init__(self, model: ModelContract, seed: int, config: EstimatorConfig):
+        self._key = (model, seed, config.y, config.gamma, config.q)
+        self._levels: list[_LevelRows] = []
+        self.rows = 0
+
+    def check(self, model: ModelContract, seed: int, config: EstimatorConfig) -> None:
+        """Raise ValueError unless the store was made for this model, seed and config."""
+        bound_model, *key = self._key
+        if model is not bound_model or [seed, config.y, config.gamma, config.q] != key:
+            raise ValueError("an OutcomeStore serves only runs of the model object, "
+                             "seed, y, gamma and q it was made for")
+
+    def level(self, level: int) -> _LevelRows:
+        while len(self._levels) <= level:
+            self._levels.append(_LevelRows(len(self._levels)))
+        return self._levels[level]
+
+    def record(self, rows: _LevelRows, a: int, outcomes) -> None:
+        self.rows += rows.append(a, outcomes, STORE_ROWS - self.rows)
+
+
+def _fold(state: LevelState, sign: np.ndarray, stop: np.ndarray, cost: np.ndarray) -> None:
+    """Add one chunk's per-row outcomes to a level's tally, histogram and cost."""
+    tally = state.tally
+    tally.n += sign.size
+    tally.n_plus += int(np.count_nonzero(sign > 0))
+    tally.n_minus += int(np.count_nonzero(sign < 0))
+    state.histogram += count_stops(stop, state.level)
+    state.cost += float(cost.sum())  # the coarse solves are in it
+
+
 def _extend_level(
     model: ModelContract,
     seed: int,
@@ -135,26 +230,35 @@ def _extend_level(
     target: int,
     config: EstimatorConfig,
     pool: ThreadPoolExecutor | None,
+    store: OutcomeStore | None = None,
 ) -> None:
-    """Draw and refine samples [n_drawn, target) of one level, in chunks."""
+    """Draw and refine samples [n_drawn, target) of one level, in chunks.
+
+    Chunks that ``store`` covers in full are folded from it; the others
+    are refined, and their rows are recorded in it.
+    """
     lo, hi = state.n_drawn, target
     if hi <= lo:
         return
-    sched = config.schedule
+    sched, chunk = config.schedule, model.batch_chunk
+    rows = store.level(state.level) if store is not None else None
+    served = lo
+    if rows is not None:
+        served = hi if hi <= rows.n else max(lo, lo + (rows.n - lo) // chunk * chunk)
+        for a in range(lo, served, chunk):
+            _fold(state, *rows.take(a, min(a + chunk, served)))
 
     def work(bounds):
         a, b = bounds
         return sample_corrector_batch(model, seed, state.level, a, b, config.y, sched)
 
-    tally = state.tally
-    for batch in _map_chunks(work, lo, hi, model.batch_chunk, pool):
-        # q_coarse is all False at level 0, so n_plus counts the hits there
-        tally.n += batch.q_fine.size
-        tally.n_plus += int(np.count_nonzero(batch.q_fine > batch.q_coarse))
-        tally.n_minus += int(np.count_nonzero(batch.q_fine < batch.q_coarse))
-        state.histogram += batch.stop_counts
-        state.cost += float(batch.cost_fine.sum())  # the coarse solves are in it
-    tally.check()
+    for batch in _map_chunks(work, served, hi, chunk, pool):
+        # q_coarse is all False at level 0, so a positive sign counts a hit there
+        sign = batch.q_fine.view(np.int8) - batch.q_coarse.view(np.int8)
+        _fold(state, sign, batch.stop, batch.cost_fine)
+        if rows is not None:
+            store.record(rows, batch.lo, (sign, batch.stop, batch.cost_fine))
+    state.tally.check()
     state.n_drawn = hi
 
 
@@ -178,12 +282,19 @@ def run_mlmc_sr(
     config: EstimatorConfig,
     seed: int,
     threads: int = 1,
+    store: OutcomeStore | None = None,
 ) -> RunRecord:
     """Estimate Pr(X <= y) to RMSE epsilon by the multilevel method.
 
     Raises NonConvergenceError (with the partial record attached) if
-    the bias criterion is still unmet at config.max_level.
+    the bias criterion is still unmet at config.max_level.  A ``store``
+    serves the rows earlier runs of the same seed refined and records
+    the rows this run refines; the record is the same without it.
+    Raises ValueError if the store was made for another model, seed, y,
+    gamma or q.
     """
+    if store is not None:
+        store.check(model, seed, config)
     levels: list[LevelState] = []
     trace: list[tuple[int, float, float]] = []
     sched = config.schedule
@@ -194,12 +305,12 @@ def run_mlmc_sr(
                 L, CorrectorTally(L), histogram=np.zeros(L + 1, dtype=np.int64)
             ))
             mandatory = math.ceil(config.N * config.gamma ** -L)
-            _extend_level(model, seed, levels[L], mandatory, config, pool)
+            _extend_level(model, seed, levels[L], mandatory, config, pool, store)
 
             sizes = optimal_allocation(_allocation_moments(levels, config.k), sched,
                                        config.epsilon)
             for ls, n in zip(levels, sizes):
-                _extend_level(model, seed, ls, int(n), config, pool)
+                _extend_level(model, seed, ls, int(n), config, pool, store)
 
             moments = _moments(levels, config.k)
             for ls, m in zip(levels, moments):

@@ -128,7 +128,7 @@ class EstimatorConfig:
         object.__setattr__(self, "schedule", LevelSchedule(self.gamma, self.q))
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrectorTally:
     """Trinomial tally of corrector observations at one level.
 
@@ -158,7 +158,7 @@ class CorrectorTally:
             raise ValueError("level-0 indicators cannot be negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentEstimates:
     """Conservative first/second moment bounds for one level's corrector."""
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import RunRecord, _worker_pool, run_mc_baseline, run_mlmc_sr
+from .driver import OutcomeStore, RunRecord, _worker_pool, run_mc_baseline, run_mlmc_sr
 from .estimators import EstimatorConfig, InsufficientSamplesError, is_integer
 from .models import build_model
 
@@ -335,17 +335,37 @@ def _resolve_reference(model, config: ExperimentConfig) -> float:
     return math.nan
 
 
+def _seed_runs(model, method: str, configs: list[EstimatorConfig],
+               seed: int) -> list[RunRecord]:
+    """The records of one seed over the epsilon grid, in config order.
+
+    An mlmc-sr grid of two or more epsilons shares one OutcomeStore
+    across the seed's runs, so each realization is refined once.
+    """
+    if method == "mc":
+        return [run_mc_baseline(model, c, seed) for c in configs]
+    store = OutcomeStore(model, seed, configs[0]) if len(configs) > 1 else None
+    return [run_mlmc_sr(model, c, seed, store=store) for c in configs]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full epsilon grid and (if output_dir is set) write CSVs.
 
-    Runs within one grid point execute in parallel when threads > 1;
-    results are folded in seed order, so the files never depend on the
-    thread count.  A run that hits max_level raises NonConvergenceError
-    out of here unchanged.
+    Each seed runs the whole grid in config order as one task; with
+    threads > 1 the seeds run in parallel.  Results are regrouped per
+    epsilon in seed order, so the files never depend on the thread
+    count.  A run that hits max_level raises NonConvergenceError out of
+    here unchanged: the first failing run in seed order raises, and no
+    file is written, since every file is written only after all runs
+    have finished.
     """
     model = config.build_model()
     reference = _resolve_reference(model, config)
-    runner = run_mlmc_sr if config.method == "mlmc-sr" else run_mc_baseline
+    seeds = [config.seed + i for i in range(config.runs)]
+    configs = [config.estimator_config(epsilon) for epsilon in config.epsilons]
+    run = partial(_seed_runs, model, config.method, configs)
+    with _worker_pool(config.threads) as pool:
+        by_seed = list(pool.map(run, seeds) if pool is not None else map(run, seeds))
 
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
@@ -355,21 +375,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     summaries: list[SummaryRow] = []
     histograms: list[np.ndarray] = []
     files: list[Path] = []
-    seeds = [config.seed + i for i in range(config.runs)]
-
-    with _worker_pool(config.threads) as pool:
-        for idx, epsilon in enumerate(config.epsilons):
-            run = partial(runner, model, config.estimator_config(epsilon))
-            records = list(pool.map(run, seeds) if pool is not None else map(run, seeds))
-            rows = [_run_row(rec, i, reference) for i, rec in enumerate(records)]
-            all_rows.extend(rows)
-            summaries.append(summarize_runs(rows))
-            if out is not None:
-                hist_path = out / f"histogram_e{idx}.csv"
-                histograms.append(emit_histogram(records, hist_path))
-                files.append(hist_path)
-            else:
-                histograms.append(emit_histogram(records))
+    for idx in range(len(config.epsilons)):
+        records = [runs[idx] for runs in by_seed]
+        rows = [_run_row(rec, i, reference) for i, rec in enumerate(records)]
+        all_rows.extend(rows)
+        summaries.append(summarize_runs(rows))
+        if out is not None:
+            hist_path = out / f"histogram_e{idx}.csv"
+            histograms.append(emit_histogram(records, hist_path))
+            files.append(hist_path)
+        else:
+            histograms.append(emit_histogram(records))
 
     if out is not None:
         runs_path, summary_path = out / "runs.csv", out / "summary.csv"

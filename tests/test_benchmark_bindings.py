@@ -57,3 +57,20 @@ def test_tracer_sees_every_layer_the_runs_call():
     }
     assert expected <= names, sorted(expected - names)
     assert [r.method for r in records] == ["mlmc-sr"] + ["mc"] * 4
+
+
+def test_tracer_times_every_run_of_a_store_backed_grid():
+    # an mlmc-sr grid of two epsilons shares one outcome store per seed; its
+    # runs must still go through the binding the benchmark times
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install(full=False)
+        experiment.run_experiment(ExperimentConfig(
+            model_name="synthetic-normal", q=2.0, y=0.8, epsilons=[0.1, 0.05], runs=3,
+            seed=100_000, threads=2))
+    finally:
+        tracer.uninstall()
+    spans, records = tracer.collect()
+    assert sum(span[2] == "driver.run_mlmc_sr" for span in spans) == 6
+    assert sorted((r.config.epsilon, r.seed) for r in records) == [
+        (e, s) for e in (0.05, 0.1) for s in (100_000, 100_001, 100_002)]

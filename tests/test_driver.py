@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mlmcsr.driver import NonConvergenceError, run_mc_baseline, run_mlmc_sr
+from mlmcsr import driver
+from mlmcsr.driver import NonConvergenceError, OutcomeStore, run_mc_baseline, run_mlmc_sr
 from mlmcsr.estimators import EstimatorConfig, mlmc_combine
 from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel, standard_normal_cdf
 from mlmcsr.refinement import sample_corrector_batch
@@ -65,7 +66,7 @@ def record_pairs_equal(a, b):
     assert a.n_drawn == b.n_drawn
     assert a.termination_trace == b.termination_trace
     for la, lb in zip(a.per_level, b.per_level):
-        assert la.tally.__dict__ == lb.tally.__dict__
+        assert la.tally == lb.tally
         assert np.array_equal(la.histogram, lb.histogram)
         assert la.cost == lb.cost
 
@@ -300,6 +301,123 @@ def test_mc_baseline_pilot_chunks_leave_the_record_alone():
     assert math.ceil(cfg.N * cfg.gamma ** -a.final_L) == 20 * small.batch_chunk
     record_pairs_equal(a, b)
     assert a.per_level[0].moments == b.per_level[0].moments
+
+
+# ---------------------------------------------------------------------------
+# outcome store
+# ---------------------------------------------------------------------------
+
+def records_equal(a, b):
+    record_pairs_equal(a, b)
+    assert len(a.per_level) == len(b.per_level)
+    assert [ls.moments for ls in a.per_level] == [ls.moments for ls in b.per_level]
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = driver.sample_corrector_batch
+
+    def counting(model, seed, level, lo, hi, *args, **kwargs):
+        calls.append((level, lo, hi))
+        return kernel(model, seed, level, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "sample_corrector_batch", counting)
+    return calls
+
+
+def test_store_serves_covered_chunks_without_the_kernel(monkeypatch):
+    model = SyntheticNormalModel(q=2.0)
+    model.batch_chunk = 64  # many chunks, some straddling a store block
+    monkeypatch.setattr(driver, "STORE_BLOCK", 100)
+    fine = EstimatorConfig(y=Y, epsilon=0.01, q=2.0)
+    coarse = EstimatorConfig(y=Y, epsilon=0.03, q=2.0)
+    store = OutcomeStore(model, 8, fine)
+    calls = count_kernel_calls(monkeypatch)
+    first = run_mlmc_sr(model, fine, 8, store=store)
+    assert calls and store.rows == sum(first.n_drawn)
+    calls.clear()
+    records_equal(run_mlmc_sr(model, fine, 8, store=store), first)
+    assert calls == []
+    # a coarser run refines only the chunks that reach past the fine run's rows
+    served = run_mlmc_sr(model, coarse, 8, store=store)
+    assert all(hi > n for level, lo, hi in calls
+               for n in [first.n_drawn[level] if level < len(first.n_drawn) else 0])
+    calls.clear()
+    records_equal(served, run_mlmc_sr(model, coarse, 8))
+    assert len(calls) > 0
+
+
+@pytest.mark.parametrize("target", [99, 100, 101, 150, 230])
+def test_store_serves_exactly_the_rows_it_holds(monkeypatch, target):
+    # the store holds rows 0..99 of level 2; chunks of 64 from 0 end at
+    # 64, 128, ...: the one past row 100 must be refined, not read
+    monkeypatch.setattr(driver, "STORE_BLOCK", 48)
+    model = SyntheticNormalModel(q=2.0)
+    model.batch_chunk = 64
+    cfg = EstimatorConfig(y=Y, epsilon=0.05, q=2.0)
+    store = OutcomeStore(model, 9, cfg)
+
+    def extended(target, store):
+        state = driver.LevelState(2, driver.CorrectorTally(2),
+                                  histogram=np.zeros(3, dtype=np.int64))
+        driver._extend_level(model, 9, state, target, cfg, None, store)
+        return state
+
+    extended(100, store)
+    served, alone = extended(target, store), extended(target, None)
+    assert served.tally == alone.tally
+    np.testing.assert_array_equal(served.histogram, alone.histogram)
+    assert served.cost == alone.cost
+    assert store.level(2).n == max(100, target)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_store_with_a_tiny_budget_gives_the_same_records(monkeypatch, threads):
+    monkeypatch.setattr(driver, "STORE_ROWS", 300)
+    monkeypatch.setattr(driver, "STORE_BLOCK", 16)
+    model = SyntheticNormalModel(q=1.5)
+    model.batch_chunk = 50
+    configs = [EstimatorConfig(y=Y, epsilon=e, q=1.5) for e in (0.1, 0.02, 0.05)]
+    store = OutcomeStore(model, 3, configs[0])
+    for cfg in configs:
+        records_equal(run_mlmc_sr(model, cfg, 3, threads=threads, store=store),
+                      run_mlmc_sr(model, cfg, 3))
+    assert store.rows == 300
+
+
+@pytest.mark.parametrize("change", [
+    dict(model=SyntheticNormalModel(q=2.0)),  # an equal model, but not the same object
+    dict(seed=4),
+    dict(y=0.81), dict(gamma=0.25), dict(q=1.0),
+])
+def test_store_refuses_a_run_it_was_not_made_for(change):
+    model = SyntheticNormalModel(q=2.0)
+    store = OutcomeStore(model, 3, EstimatorConfig(y=Y, epsilon=0.1, q=2.0))
+    args = dict(model=model, seed=3, y=Y, gamma=0.5, q=2.0)
+    args.update(change)
+    cfg = EstimatorConfig(y=args["y"], epsilon=0.1, gamma=args["gamma"], q=args["q"])
+    with pytest.raises(ValueError, match="OutcomeStore"):
+        run_mlmc_sr(args["model"], cfg, args["seed"], store=store)
+    # epsilon, N, k and max_level leave every row's outcome alone
+    run_mlmc_sr(model, EstimatorConfig(y=Y, epsilon=0.05, q=2.0, N=20, k=2.0, max_level=12),
+                3, store=store)
+
+
+def test_store_keeps_stop_rungs_past_an_int8():
+    # X = y exactly straddles y at every rung, so each row refines to the last
+    model = ConstantModel(Y)
+    cfg = EstimatorConfig(y=Y, epsilon=0.1, max_level=300)
+    batch = sample_corrector_batch(model, 0, 300, 0, 20, Y, cfg.schedule)
+    assert batch.stop.tolist() == [300] * 20
+    assert batch.stop_counts[300] == 20 and batch.stop_counts.sum() == 20
+    store = OutcomeStore(model, 0, cfg)
+    rows = store.level(300)
+    sign = batch.q_fine.view(np.int8) - batch.q_coarse.view(np.int8)
+    store.record(rows, 0, (sign, batch.stop, batch.cost_fine))
+    got_sign, got_stop, got_cost = rows.take(0, 20)
+    assert got_stop.tolist() == [300] * 20
+    np.testing.assert_array_equal(got_sign, sign)
+    np.testing.assert_array_equal(got_cost, batch.cost_fine)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mlmcsr.driver import run_mlmc_sr
+from mlmcsr import driver, experiment
+from mlmcsr.driver import NonConvergenceError, RunRecord, run_mlmc_sr
 from mlmcsr.estimators import EstimatorConfig, InsufficientSamplesError
 from mlmcsr.experiment import (
+    _run_row,
     ConfigError,
     ExperimentConfig,
     emit_histogram,
@@ -241,6 +243,83 @@ def test_seed_isolation_from_experiment_context():
         solo = run_mlmc_sr(model, ecfg, seed=100 + row.run_id)
         assert solo.estimate_raw == row.estimate_raw
         assert solo.total_cost == row.total_cost
+
+
+def solo_report(model, cfg, reference):
+    """Rows, summaries and histograms of ``cfg`` from one store-less run per (epsilon, seed)."""
+    rows, summaries, histograms = [], [], []
+    for epsilon in cfg.epsilons:
+        records = [run_mlmc_sr(model, cfg.estimator_config(epsilon), cfg.seed + i)
+                   for i in range(cfg.runs)]
+        group = [_run_row(rec, i, reference) for i, rec in enumerate(records)]
+        rows += group
+        summaries.append(summarize_runs(group))
+        histograms.append(emit_histogram(records))
+    return rows, summaries, histograms
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_seed_major_grid_equals_solo_runs(q, order, threads):
+    # each seed's runs share one outcome store; every row, summary and
+    # histogram must still equal a run made on its own
+    epsilons = [0.02, 0.05, 0.1] if order == "ascending" else [0.1, 0.05, 0.02]
+    cfg = small_config(q=q, epsilons=epsilons, runs=4, seed=200, threads=threads)
+    report = run_experiment(cfg)
+    rows, summaries, histograms = solo_report(SyntheticNormalModel(q=q), cfg,
+                                              report.reference)
+    assert report.rows == rows
+    assert report.summaries == summaries
+    for a, b in zip(report.histograms, histograms):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_seed_major_elliptic_grid_equals_solo_runs():
+    cfg = ExperimentConfig(model_name="elliptic-flux-1d", model_params={"master_cells": 64},
+                           epsilons=[0.05, 0.02], runs=3, y=0.99, seed=40, reference_p=0.8)
+    report = run_experiment(cfg)
+    rows, summaries, histograms = solo_report(cfg.build_model(), cfg, report.reference)
+    assert report.rows == rows
+    assert report.summaries == summaries
+    for a, b in zip(report.histograms, histograms):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_each_seed_refines_a_realization_once(monkeypatch):
+    # the second run at the same epsilon is served whole from its seed's store
+    calls = []
+    kernel = driver.sample_corrector_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "sample_corrector_batch", counting)
+    once = run_experiment(small_config(epsilons=[0.05], runs=3, threads=2))
+    n_once = len(calls)
+    twice = run_experiment(small_config(epsilons=[0.05, 0.05], runs=3, threads=2))
+    assert len(calls) == 2 * n_once
+    assert twice.rows[:3] == twice.rows[3:] == once.rows
+
+
+def test_first_failing_seed_raises_and_writes_no_file(monkeypatch, tmp_path):
+    failing = {101, 103}
+    real = experiment.run_mlmc_sr
+
+    def run(model, config, seed, **kwargs):
+        if seed in failing:
+            raise NonConvergenceError(RunRecord(config, seed, "mlmc-sr", False, math.nan,
+                                                math.nan, 0, [], 0.0, []))
+        return real(model, config, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_mlmc_sr", run)
+    cfg = small_config(epsilons=[0.1, 0.05], runs=4, seed=100, threads=2,
+                       output_dir=str(tmp_path / "out"))
+    with pytest.raises(NonConvergenceError) as info:
+        run_experiment(cfg)
+    assert info.value.record.seed == 101
+    assert not (tmp_path / "out").exists()
 
 
 def test_numpy_integer_seed_equals_int_seed(tmp_path):

@@ -54,16 +54,16 @@ def reference_batch(model, seed, level, lo, hi, rule):
     drawn alone and refined by ``reference_refine`` for both functionals."""
     n = hi - lo
     q_f, q_c = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    c_f, c_c = np.zeros(n), np.zeros(n)
+    c_f = np.zeros(n)
     stop = np.zeros(n, dtype=np.int64)
     for pos, i in enumerate(range(lo, hi)):
         handle = model.draw_batch(seed, level, i, i + 1)
         value, c_f[pos], stop[pos] = reference_refine(model, handle, level, Y, rule)
         q_f[pos] = value <= Y
         if level >= 1:
-            value, c_c[pos], _ = reference_refine(model, handle, level - 1, Y, rule)
+            value, _, _ = reference_refine(model, handle, level - 1, Y, rule)
             q_c[pos] = value <= Y
-    return q_f, q_c, c_f, c_c, stop
+    return q_f, q_c, c_f, stop
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +171,11 @@ def test_rule_name_is_validated():
 def test_batch_matches_scalar_loop_bitwise(rule, level):
     for model in (SyntheticNormalModel(q=2.0), EllipticFlux1D(master_cells=128)):
         fast = sample_corrector_batch(model, 99, level, 10, 60, Y, SCHED, rule=rule)
-        q_f, q_c, c_f, c_c, stop = reference_batch(model, 99, level, 10, 60, rule)
+        q_f, q_c, c_f, stop = reference_batch(model, 99, level, 10, 60, rule)
         np.testing.assert_array_equal(fast.q_fine, q_f)
         np.testing.assert_array_equal(fast.q_coarse, q_c)
         np.testing.assert_array_equal(fast.cost_fine, c_f)
+        np.testing.assert_array_equal(fast.stop, stop)
         np.testing.assert_array_equal(fast.stop_counts,
                                       np.bincount(stop, minlength=level + 1))
         for i, expected in enumerate(stop):
@@ -194,10 +195,11 @@ def test_batch_matches_scalar_loop_bitwise(rule, level):
 def test_batch_matches_reference_property(level, lo, n, rule, q):
     model = SyntheticNormalModel(q=q)
     fast = sample_corrector_batch(model, 7, level, lo, lo + n, Y, SCHED, rule=rule)
-    q_f, q_c, c_f, c_c, stop = reference_batch(model, 7, level, lo, lo + n, rule)
+    q_f, q_c, c_f, stop = reference_batch(model, 7, level, lo, lo + n, rule)
     np.testing.assert_array_equal(fast.q_fine, q_f)
     np.testing.assert_array_equal(fast.q_coarse, q_c)
     assert fast.cost_fine.tobytes() == c_f.tobytes()
+    np.testing.assert_array_equal(fast.stop, stop)
     np.testing.assert_array_equal(fast.stop_counts, np.bincount(stop, minlength=level + 1))
 
 
@@ -226,3 +228,15 @@ def test_batch_empty_range():
     assert batch.q_fine.size == 0
     with pytest.raises(ValueError):
         sample_corrector_batch(model, 1, 2, 5, 4, Y, SCHED)
+
+
+@pytest.mark.parametrize("level, lo, hi", [(-1, 0, 4), (2, -1, 4), (2, -3, -1)])
+def test_batch_rejects_negative_level_and_index(level, lo, hi):
+    with pytest.raises(ValueError, match=">= 0"):
+        sample_corrector_batch(SyntheticNormalModel(), 7, level, lo, hi, Y, SCHED)
+
+
+@pytest.mark.parametrize("level, index", [(-1, 0), (2, -1)])
+def test_sample_id_rejects_negative_level_and_index(level, index):
+    with pytest.raises(ValueError, match=">= 0"):
+        SampleId(7, level, index)
