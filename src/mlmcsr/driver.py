@@ -37,7 +37,7 @@ from .estimators import (
     termination_check,
     is_integer,
 )
-from .refinement import ModelContract, count_stops, sample_corrector_batch
+from .refinement import ModelContract, sample_corrector_batch
 
 __all__ = [
     "LevelState",
@@ -50,14 +50,20 @@ __all__ = [
 
 @dataclass(slots=True)
 class LevelState:
-    """Accumulated per-level data: tally, draw counts, stop histogram, work."""
+    """Accumulated per-level data: tally, stop histogram, work.
+
+    ``n_drawn`` reads the tally's count, which only the fold writes.
+    """
 
     level: int
     tally: CorrectorTally
     moments: MomentEstimates | None = None
-    n_drawn: int = 0
     histogram: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cost: float = 0.0
+
+    @property
+    def n_drawn(self) -> int:
+        return self.tally.n
 
 
 @dataclass
@@ -135,57 +141,14 @@ STORE_ROWS = 1 << 20
 STORE_BLOCK = 1 << 12
 
 
-class _LevelRows:
-    """Outcomes of rows 0..n-1 of one level, in blocks of STORE_BLOCK rows."""
-
-    def __init__(self, level: int):
-        self.n = 0
-        self._stop_dtype = np.min_scalar_type(level)
-        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def take(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sign, stop, cost) of rows a..b-1, where 0 <= a < b <= n."""
-        B = STORE_BLOCK
-        parts = [tuple(arr[max(a - k * B, 0):min(b - k * B, B)] for arr in self._blocks[k])
-                 for k in range(a // B, (b - 1) // B + 1)]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(column) for column in zip(*parts))
-
-    def append(self, a: int, rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-               room: int) -> int:
-        """Record the rows a, a+1, ... past n, at most ``room`` of them.
-
-        Returns how many were recorded: none when a > n, because the
-        store holds a prefix of the level.
-        """
-        start = self.n - a
-        if start < 0:
-            return 0
-        count = max(0, min(len(rows[0]) - start, room))
-        end = start + count
-        while start < end:
-            k, off = divmod(self.n, STORE_BLOCK)
-            if k == len(self._blocks):
-                self._blocks.append((np.empty(STORE_BLOCK, np.int8),
-                                     np.empty(STORE_BLOCK, self._stop_dtype),
-                                     np.empty(STORE_BLOCK)))
-            m = min(STORE_BLOCK - off, end - start)
-            for dst, src in zip(self._blocks[k], rows):
-                dst[off:off + m] = src[start:start + m]
-            self.n += m
-            start += m
-        return count
-
-
 class OutcomeStore:
     """Per-row refinement outcomes of one seed, shared by the runs of a grid.
 
     Realization (seed, level, index) is drawn and refined to the same
     bits by every run with the same model, y, gamma and q, whatever its
-    epsilon.  A store records, per level, each refined row's corrector
-    sign (int8: q_fine - q_coarse), stop rung and cost for indices
-    0..n-1, and ``run_mlmc_sr`` folds any chunk the store covers in full
+    epsilon.  A store records, per level, the (sign, stop, cost) outcome
+    of each refined row for indices 0..n-1 in blocks of STORE_BLOCK
+    rows, and ``run_mlmc_sr`` folds any chunk the store covers in full
     from those arrays instead of drawing and refining it.  The counts
     and the per-chunk cost sums are the same numbers, so records are
     bit-identical with or without a store.  At most STORE_ROWS rows are
@@ -194,7 +157,8 @@ class OutcomeStore:
 
     def __init__(self, model: ModelContract, seed: int, config: EstimatorConfig):
         self._key = (model, seed, config.y, config.gamma, config.q)
-        self._levels: list[_LevelRows] = []
+        self._blocks: dict[int, list[tuple[np.ndarray, ...]]] = {}
+        self._covered: dict[int, int] = {}
         self.rows = 0
 
     def check(self, model: ModelContract, seed: int, config: EstimatorConfig) -> None:
@@ -204,13 +168,54 @@ class OutcomeStore:
             raise ValueError("an OutcomeStore serves only runs of the model object, "
                              "seed, y, gamma and q it was made for")
 
-    def level(self, level: int) -> _LevelRows:
-        while len(self._levels) <= level:
-            self._levels.append(_LevelRows(len(self._levels)))
-        return self._levels[level]
+    def covered(self, level: int) -> int:
+        """How many rows of ``level``, from index 0, the store holds."""
+        return self._covered.get(level, 0)
 
-    def record(self, rows: _LevelRows, a: int, outcomes) -> None:
-        self.rows += rows.append(a, outcomes, STORE_ROWS - self.rows)
+    def take(self, level: int, a: int, b: int) -> tuple[np.ndarray, ...]:
+        """(sign, stop, cost) of rows a..b-1 of a level, where 0 <= a < b <= covered."""
+        blocks, B = self._blocks[level], STORE_BLOCK
+        parts = [tuple(arr[max(a - k * B, 0):min(b - k * B, B)] for arr in blocks[k])
+                 for k in range(a // B, (b - 1) // B + 1)]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def record(self, level: int, a: int, outcomes: tuple[np.ndarray, ...]) -> None:
+        """Record the (sign, stop, cost) rows a, a+1, ... of a level past
+        those it holds, while the STORE_ROWS budget lasts; none when a is
+        past them, because the store holds a prefix of each level."""
+        blocks = self._blocks.setdefault(level, [])
+        n = self._covered.get(level, 0)
+        start = n - a
+        if start < 0:
+            return
+        end = start + max(0, min(len(outcomes[0]) - start, STORE_ROWS - self.rows))
+        self.rows += end - start
+        while start < end:
+            k, off = divmod(n, STORE_BLOCK)
+            if k == len(blocks):
+                blocks.append(tuple(np.empty(STORE_BLOCK, col.dtype) for col in outcomes))
+            m = min(STORE_BLOCK - off, end - start)
+            for dst, src in zip(blocks[k], outcomes):
+                dst[off:off + m] = src[start:start + m]
+            n += m
+            start += m
+        self._covered[level] = n
+
+
+def _count_stops(stop: np.ndarray, level: int) -> np.ndarray:
+    """How many of the per-row ``stop`` rungs equal each of 0..level.
+
+    Counts the rows at or past each rung, with no pass once none is
+    left; on a chunk of small ints that is several times faster than
+    ``np.bincount``, which first casts the whole array to intp.
+    """
+    past = [stop.size]
+    for t in range(1, level + 1):
+        past.append(int(np.count_nonzero(stop >= t)) if past[-1] else 0)
+    past.append(0)
+    return np.array([a - b for a, b in zip(past, past[1:])], dtype=np.int64)
 
 
 def _fold(state: LevelState, sign: np.ndarray, stop: np.ndarray, cost: np.ndarray) -> None:
@@ -219,7 +224,7 @@ def _fold(state: LevelState, sign: np.ndarray, stop: np.ndarray, cost: np.ndarra
     tally.n += sign.size
     tally.n_plus += int(np.count_nonzero(sign > 0))
     tally.n_minus += int(np.count_nonzero(sign < 0))
-    state.histogram += count_stops(stop, state.level)
+    state.histogram += _count_stops(stop, state.level)
     state.cost += float(cost.sum())  # the coarse solves are in it
 
 
@@ -240,26 +245,24 @@ def _extend_level(
     lo, hi = state.n_drawn, target
     if hi <= lo:
         return
-    sched, chunk = config.schedule, model.batch_chunk
-    rows = store.level(state.level) if store is not None else None
+    level, sched, chunk = state.level, config.schedule, model.batch_chunk
     served = lo
-    if rows is not None:
-        served = hi if hi <= rows.n else max(lo, lo + (rows.n - lo) // chunk * chunk)
+    if store is not None:
+        covered = store.covered(level)
+        served = hi if hi <= covered else max(lo, lo + (covered - lo) // chunk * chunk)
         for a in range(lo, served, chunk):
-            _fold(state, *rows.take(a, min(a + chunk, served)))
+            _fold(state, *store.take(level, a, min(a + chunk, served)))
 
     def work(bounds):
         a, b = bounds
-        return sample_corrector_batch(model, seed, state.level, a, b, config.y, sched)
+        return sample_corrector_batch(model, seed, level, a, b, config.y, sched)
 
     for batch in _map_chunks(work, served, hi, chunk, pool):
-        # q_coarse is all False at level 0, so a positive sign counts a hit there
-        sign = batch.q_fine.view(np.int8) - batch.q_coarse.view(np.int8)
-        _fold(state, sign, batch.stop, batch.cost_fine)
-        if rows is not None:
-            store.record(rows, batch.lo, (sign, batch.stop, batch.cost_fine))
+        outcomes = (batch.sign, batch.stop, batch.cost_fine)
+        _fold(state, *outcomes)
+        if store is not None:
+            store.record(level, batch.lo, outcomes)
     state.tally.check()
-    state.n_drawn = hi
 
 
 def _moments(levels: list[LevelState], k: float) -> list[MomentEstimates]:
@@ -458,7 +461,6 @@ def _run_mc_baseline(model, config, seed, pool):
         state.cost += float(w.sum())
     hits.check()
     state.moments = MomentEstimates(star, p_hat, s2)
-    state.n_drawn = n_mc
     state.histogram[star] = n_mc
 
     raw = state.tally.n_plus / n_mc

@@ -54,6 +54,13 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite_real(value) -> bool:
+    """True for a finite real number (numpy's included) that is not a
+    bool: what a tolerance, a threshold or a model parameter must be."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _tiny_epsilon(epsilon) -> str:
     return f"epsilon={epsilon} is too small: 2 * epsilon**-2 overflows a float"
 
@@ -70,9 +77,9 @@ class LevelSchedule:
     q: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not (math.isfinite(self.q) and self.q > 0.0):
+        if not (is_finite_real(self.gamma) and 0.0 < self.gamma < 1.0):
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
+        if not (is_finite_real(self.q) and self.q > 0.0):
             raise ValueError(f"q must be finite and positive, got {self.q}")
 
     def tolerance(self, level: int) -> float:
@@ -104,8 +111,8 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         for name in ("y", "epsilon", "gamma", "q", "k"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not is_finite_real(value):
+                raise ValueError(f"{name} must be finite and a real number, got {value!r}")
         for name in ("N", "max_level"):
             value = getattr(self, name)
             if not is_integer(value):

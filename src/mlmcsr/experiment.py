@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .driver import OutcomeStore, RunRecord, _worker_pool, run_mc_baseline, run_mlmc_sr
-from .estimators import EstimatorConfig, InsufficientSamplesError, is_integer
+from .estimators import EstimatorConfig, InsufficientSamplesError, is_finite_real, is_integer
 from .models import build_model
 
 __all__ = [
@@ -88,12 +88,12 @@ class ExperimentConfig:
             raise ConfigError(f"model_params must be a dict, got {self.model_params!r}")
         if not self.epsilons:
             raise ConfigError("epsilons must be a nonempty list")
-        if not all(math.isfinite(e) and e > 0.0 for e in self.epsilons):
+        if not all(is_finite_real(e) and e > 0.0 for e in self.epsilons):
             raise ConfigError(f"epsilons must be finite and positive, got {self.epsilons}")
         for name in ("reference_p", "reference_stderr"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if value is not None and not is_finite_real(value):
+                raise ConfigError(f"{name} must be finite and a real number, got {value!r}")
         for name in ("runs", "seed", "threads"):
             value = getattr(self, name)
             if not is_integer(value):
@@ -241,12 +241,8 @@ def emit_histogram(records: list[RunRecord], path: Path | None = None) -> np.nda
         acc[: h.shape[0], : h.shape[1]] += h
     mean = acc / len(records)
     if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(SCHEMA_VERSION + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["j"] + [f"L{c}" for c in range(cols)])
-            for j in range(rows):
-                writer.writerow([j] + [repr(float(v)) for v in mean[j]])
+        _write_csv(path, ["j"] + [f"L{c}" for c in range(cols)],
+                   ([j] + [repr(float(v)) for v in mean[j]] for j in range(rows)))
     return mean
 
 
@@ -254,22 +250,25 @@ def emit_histogram(records: list[RunRecord], path: Path | None = None) -> np.nda
 # CSV io
 # ---------------------------------------------------------------------------
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the schema line, ``header`` and ``rows`` (lists of cells)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(SCHEMA_VERSION + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_runs_csv(path: Path, rows: list[RunRow]) -> None:
     max_l = max(r.final_L for r in rows)
     header = ["run_id", "epsilon", "q", "estimate_raw", "estimate_clamped",
               "abs_error", "total_cost", "final_L"]
     header += [f"N_{l}" for l in range(max_l + 1)]
-    with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_VERSION + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in rows:
-            cells = [r.run_id, repr(r.epsilon), repr(r.q), repr(r.estimate_raw),
-                     repr(r.estimate_clamped), repr(r.abs_error),
-                     repr(r.total_cost), r.final_L]
-            cells += [str(n) for n in r.n_per_level]
-            cells += [""] * (max_l - r.final_L)
-            writer.writerow(cells)
+    _write_csv(path, header, (
+        [r.run_id, repr(r.epsilon), repr(r.q), repr(r.estimate_raw),
+         repr(r.estimate_clamped), repr(r.abs_error), repr(r.total_cost), r.final_L]
+        + [str(n) for n in r.n_per_level] + [""] * (max_l - r.final_L)
+        for r in rows))
 
 
 def _read_schema_csv(path: Path) -> list[dict]:
@@ -301,13 +300,9 @@ def read_runs_csv(path: Path) -> list[RunRow]:
 
 
 def write_summary_csv(path: Path, summaries: list[SummaryRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_VERSION + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "q", "rmse", "mean_cost", "median_cost", "mean_L"])
-        for s in summaries:
-            writer.writerow([repr(s.epsilon), repr(s.q), repr(s.rmse),
-                             repr(s.mean_cost), repr(s.median_cost), repr(s.mean_L)])
+    _write_csv(path, ["epsilon", "q", "rmse", "mean_cost", "median_cost", "mean_L"],
+               ([repr(s.epsilon), repr(s.q), repr(s.rmse), repr(s.mean_cost),
+                 repr(s.median_cost), repr(s.mean_L)] for s in summaries))
 
 
 def read_summary_csv(path: Path) -> list[SummaryRow]:
@@ -339,12 +334,12 @@ def _seed_runs(model, method: str, configs: list[EstimatorConfig],
                seed: int) -> list[RunRecord]:
     """The records of one seed over the epsilon grid, in config order.
 
-    An mlmc-sr grid of two or more epsilons shares one OutcomeStore
-    across the seed's runs, so each realization is refined once.
+    The mlmc-sr runs of a seed share one OutcomeStore, so each
+    realization is refined once.
     """
     if method == "mc":
         return [run_mc_baseline(model, c, seed) for c in configs]
-    store = OutcomeStore(model, seed, configs[0]) if len(configs) > 1 else None
+    store = OutcomeStore(model, seed, configs[0])
     return [run_mlmc_sr(model, c, seed, store=store) for c in configs]
 
 
@@ -442,7 +437,7 @@ def theoretical_cost(method: str, q: float, epsilon: float) -> float:
     Raises ValueError unless q and epsilon are finite and positive and
     the work fits a float."""
     for name, value in (("q", q), ("epsilon", epsilon)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not (is_finite_real(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
     try:
         work = _theoretical_cost(method, q, epsilon)

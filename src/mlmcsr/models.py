@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import is_integer
+from .estimators import is_finite_real, is_integer
 from .streams import derive_key, normal_at, uniform_at
 
 __all__ = [
@@ -92,10 +92,10 @@ class SyntheticNormalModel:
         b: float = 0.1,
         uniform_source: Callable[[int, int, int], float] | None = None,
     ) -> None:
-        if not (math.isfinite(q) and q > 0.0):
-            raise ModelInitError(f"work exponent q must be finite and positive, got {q}")
-        if not -1.0 < b < 1.0:
-            raise ModelInitError(f"skew b must lie in (-1, 1), got {b}")
+        if not (is_finite_real(q) and q > 0.0):
+            raise ModelInitError(f"work exponent q must be finite and positive, got {q!r}")
+        if not (is_finite_real(b) and -1.0 < b < 1.0):
+            raise ModelInitError(f"skew b must lie in (-1, 1), got {b!r}")
         self.q = q
         self.b = b
         self.uniform_source = uniform_source
@@ -204,11 +204,11 @@ class EllipticFlux1D:
         rho: float = 0.1,
         master_cells: int = 4096,
     ) -> None:
-        if not (math.isfinite(sigma) and sigma >= 0.0):
-            raise ModelInitError(f"sigma must be finite and >= 0, got {sigma}")
-        if not (math.isfinite(rho) and rho > 0.0):
+        if not (is_finite_real(sigma) and sigma >= 0.0):
+            raise ModelInitError(f"sigma must be finite and >= 0, got {sigma!r}")
+        if not (is_finite_real(rho) and rho > 0.0):
             raise ModelInitError(
-                f"correlation length rho must be finite and positive, got {rho}")
+                f"correlation length rho must be finite and positive, got {rho!r}")
         if not is_integer(master_cells):
             raise ModelInitError(f"master_cells must be an integer, got {master_cells!r}")
         m = int(master_cells)

@@ -13,8 +13,8 @@ which is exactly what the multilevel telescope needs from samples.
 
 The kernel refines every row of a drawn batch at once through the
 model's ``solve_batch``: ``sample_corrector_batch`` runs it on a range
-of indices for both functionals of a corrector, and ``solve_selective``
-is the same kernel on a batch of one realization.
+of indices and returns each row's corrector sign, stop rung and cost,
+and ``solve_selective`` is the same kernel on a batch of one realization.
 
 Two guard variants run the same loop: a row is solved at rung t while
 the guard tolerance exceeds |value - y|.  They differ only in which
@@ -127,37 +127,38 @@ def _refine(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refine rows 0..n-1 of a drawn batch to ``level`` around ``y``.
 
-    Returns (value, cost, stop) of the level-l functional and the
-    level-(l-1) indicator q_coarse.  The coarse functional is the fine
-    one as it stood before the solve at rung ``level``: its solves are a
-    prefix of the fine ones, so ``cost`` is the work of both; at level 0
-    it is all False.  ``stop[i]`` is the rung at which row i's
-    refinement stopped: the last rung t >= 1 that solved it, or 0.  Its
-    dtype is the smallest unsigned one that holds ``level``.
+    Returns (value, cost, stop, sign).  ``value`` and ``cost`` are the
+    level-l functional and the work of its solves.  ``stop[i]`` is the
+    rung at which row i's refinement stopped: the last rung t >= 1 that
+    solved it, or 0, in the smallest unsigned dtype that holds
+    ``level``.  ``sign`` (int8) is the corrector Q_l - Q_(l-1): at
+    level 0 the indicator itself; above it, the level-(l-1) functional
+    is this refinement before rung ``level``, so only the rows that
+    rung solves can differ, and ``cost`` is the work of both.
     """
     if rule not in ("certified", "printed"):
         raise ValueError(f"unknown refinement rule {rule!r}")
     everyone = np.arange(n, dtype=np.int64)
     value, cost = model.solve_batch(batch, everyone, 1.0, 0)
     stop = np.zeros(n, dtype=np.min_scalar_type(level))
+    sign = np.zeros(n, dtype=np.int8)
     tolerances = [schedule.tolerance(t) for t in range(level + 2)]
-    q_coarse = np.zeros(n, dtype=bool) if level == 0 else None
     first = 1 if rule == "certified" else 0  # rung t is guarded by gamma**(t - first)
     active = (np.abs(value - y) < 1.0).nonzero()[0] if level >= first else None
     for t in range(first, level + 1):
         if active.size == 0:
             break
-        if t == level and q_coarse is None:
-            q_coarse = value <= y
         v, w = model.solve_batch(batch, active, tolerances[t], t)
+        if t == level and level:
+            sign[active] = (v <= y).view(np.int8) - (value[active] <= y).view(np.int8)
         value[active] = v
         cost[active] += w
         if t:
             stop[active] = t
         active = active[np.abs(v - y) < tolerances[t + 1 - first]]
-    if q_coarse is None:
-        q_coarse = value <= y
-    return value, cost, stop, q_coarse
+    if level == 0:
+        sign = (value <= y).view(np.int8)
+    return value, cost, stop, sign
 
 
 def _draw_one(model: ModelContract, sid: SampleId) -> Any:
@@ -206,44 +207,24 @@ def assumption_holds(model: ModelContract, state: RealizationState, y: float,
 
 @dataclass
 class CorrectorBatch:
-    """Per-realization results for indices [lo, hi) of one level.
+    """Per-realization outcomes for indices [lo, hi) of one level.
 
-    ``q_fine`` / ``q_coarse`` are the level-l and level-(l-1) indicator
-    values (``q_coarse`` is all False at level 0, where the corrector
-    is the indicator itself).  ``cost_fine`` is the work of the fine
-    refinement, which is the corrector's whole work: the coarse
-    functional is that refinement before its last rung and makes no
-    solve of its own.  ``stop`` is the ladder index 0..level at which
-    each realization's fine refinement stopped, in the smallest
-    unsigned dtype that holds ``level``; ``stop_counts`` is its
-    histogram, one entry per index, summing to hi - lo.
+    ``sign`` (int8) is each corrector Y_l = Q_l - Q_(l-1) in {-1, 0, +1};
+    at level 0 it is the indicator Q_0 itself.  ``stop`` is the ladder
+    index 0..level at which each realization's refinement stopped, in the
+    smallest unsigned dtype that holds ``level``; at levels >= 1 only
+    rows with ``stop == level`` can have a nonzero sign.  ``cost_fine``
+    is the work of the level-l refinement, which is the corrector's
+    whole work: the level-(l-1) functional is that refinement before its
+    last rung and makes no solve of its own.
     """
 
     level: int
     lo: int
     hi: int
-    q_fine: np.ndarray
-    q_coarse: np.ndarray
-    cost_fine: np.ndarray
+    sign: np.ndarray
     stop: np.ndarray
-
-    @property
-    def stop_counts(self) -> np.ndarray:
-        return count_stops(self.stop, self.level)
-
-
-def count_stops(stop: np.ndarray, level: int) -> np.ndarray:
-    """How many of the per-row ``stop`` rungs equal each of 0..level.
-
-    Counts the rows at or past each rung, with no pass once none is
-    left; on a chunk of small ints that is several times faster than
-    ``np.bincount``, which first casts the whole array to intp.
-    """
-    past = [stop.size]
-    for t in range(1, level + 1):
-        past.append(int(np.count_nonzero(stop >= t)) if past[-1] else 0)
-    past.append(0)
-    return np.array([a - b for a, b in zip(past, past[1:])], dtype=np.int64)
+    cost_fine: np.ndarray
 
 
 def sample_corrector_batch(
@@ -254,19 +235,16 @@ def sample_corrector_batch(
     hi: int,
     y: float,
     schedule: LevelSchedule,
-    rule: str = "certified",
 ) -> CorrectorBatch:
-    """Draw and refine realizations lo..hi-1 of one level, both functionals.
+    """Draw and refine realizations lo..hi-1 of one level to their correctors.
 
-    The level-(l-1) functional reuses the level-l refinement's solves,
-    so the pair costs exactly the fine refinement.  Raises ValueError
-    unless 0 <= level and 0 <= lo <= hi.
+    Refines with the certified guard.  Raises ValueError unless
+    0 <= level and 0 <= lo <= hi.
     """
     if level < 0 or lo < 0:
         raise ValueError(f"level and lo must be >= 0, got level {level}, lo {lo}")
     if hi < lo:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
-    n = hi - lo
     batch = model.draw_batch(seed, level, lo, hi)
-    value, cost, stop, q_coarse = _refine(model, batch, n, level, y, schedule, rule)
-    return CorrectorBatch(level, lo, hi, value <= y, q_coarse, cost, stop)
+    _, cost, stop, sign = _refine(model, batch, hi - lo, level, y, schedule, "certified")
+    return CorrectorBatch(level, lo, hi, sign, stop, cost)

@@ -116,6 +116,21 @@ def test_level_cap_is_nonconvergence_exit(tmp_path, capsys):
     assert "no convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, fragment", [
+    ({"epsilons": [True], "k": True}, "epsilons"),
+    ({"k": True}, "k must be finite"),
+    ({"y": True}, "y must be finite"),
+    ({"model": {"name": "synthetic-normal", "params": {"b": False}}}, "skew b"),
+    ({"model": {"name": "elliptic-flux-1d", "params": {"sigma": True}}}, "sigma"),
+])
+def test_bool_for_a_real_parameter_is_config_error(tmp_path, capsys, fields, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"name": "synthetic-normal"}, "y": 0.8,
+                                "epsilons": [0.1], "runs": 1, **fields}))
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("epsilons", [[1e-200], [0.1, 1e-200]])
 def test_epsilon_too_small_to_square_is_config_error(tmp_path, capsys, epsilons):
     path = tmp_path / "config.json"

@@ -252,11 +252,11 @@ def test_mlmc_sr_tallies_recount_from_samples(model, cfg):
     for ls in rec.per_level:
         batch = sample_corrector_batch(model, seed, ls.level, 0, ls.n_drawn, cfg.y,
                                        cfg.schedule)
-        assert ls.tally.n == ls.n_drawn
-        assert ls.tally.n_plus == np.count_nonzero(batch.q_fine > batch.q_coarse)
-        assert ls.tally.n_minus == np.count_nonzero(batch.q_fine < batch.q_coarse)
+        assert ls.tally.n == ls.n_drawn == batch.sign.size
+        assert ls.tally.n_plus == np.count_nonzero(batch.sign == 1)
+        assert ls.tally.n_minus == np.count_nonzero(batch.sign == -1)
         if ls.level == 0:
-            assert ls.tally.n_plus == np.count_nonzero(batch.q_fine) > 0
+            assert ls.tally.n_plus == np.count_nonzero(batch.sign) > 0
     assert rec.estimate_raw == mlmc_combine([ls.tally for ls in rec.per_level])
 
 
@@ -368,7 +368,7 @@ def test_store_serves_exactly_the_rows_it_holds(monkeypatch, target):
     assert served.tally == alone.tally
     np.testing.assert_array_equal(served.histogram, alone.histogram)
     assert served.cost == alone.cost
-    assert store.level(2).n == max(100, target)
+    assert store.covered(2) == max(100, target)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -409,15 +409,28 @@ def test_store_keeps_stop_rungs_past_an_int8():
     cfg = EstimatorConfig(y=Y, epsilon=0.1, max_level=300)
     batch = sample_corrector_batch(model, 0, 300, 0, 20, Y, cfg.schedule)
     assert batch.stop.tolist() == [300] * 20
-    assert batch.stop_counts[300] == 20 and batch.stop_counts.sum() == 20
+    counts = driver._count_stops(batch.stop, 300)
+    assert counts[300] == 20 and counts.sum() == 20
     store = OutcomeStore(model, 0, cfg)
-    rows = store.level(300)
-    sign = batch.q_fine.view(np.int8) - batch.q_coarse.view(np.int8)
-    store.record(rows, 0, (sign, batch.stop, batch.cost_fine))
-    got_sign, got_stop, got_cost = rows.take(0, 20)
+    store.record(300, 0, (batch.sign, batch.stop, batch.cost_fine))
+    assert store.covered(300) == 20 and store.covered(299) == 0
+    got_sign, got_stop, got_cost = store.take(300, 0, 20)
     assert got_stop.tolist() == [300] * 20
-    np.testing.assert_array_equal(got_sign, sign)
+    np.testing.assert_array_equal(got_sign, batch.sign)
     np.testing.assert_array_equal(got_cost, batch.cost_fine)
+
+
+@pytest.mark.parametrize("level", [0, 1, 5, 300])
+def test_count_stops_matches_bincount(level):
+    rng = np.random.default_rng(level)
+    dtype = np.min_scalar_type(level)
+    for n in (0, 1, 37, 5000):
+        # rungs cluster low, as they do in a kernel chunk, but reach the top
+        stop = np.minimum(rng.geometric(0.5, n) - 1, level).astype(dtype)
+        if n:
+            stop[-1] = level
+        np.testing.assert_array_equal(driver._count_stops(stop, level),
+                                      np.bincount(stop, minlength=level + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,8 @@ def test_level_schedule_validation():
     for q in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             LevelSchedule(0.5, q)
+    with pytest.raises(ValueError, match="finite"):
+        LevelSchedule(0.5, True)
     assert LevelSchedule(0.5, 2.0).tolerance(3) == 0.125
 
 
@@ -468,6 +470,13 @@ def test_estimator_config_validation():
                 dict(y=0.8, epsilon=0.1, gamma=nan), dict(y=0.8, epsilon=0.1, k=inf)):
         with pytest.raises(ValueError, match="finite"):
             EstimatorConfig(**bad)
+    # a bool is not a real-valued parameter, though Python counts it as an int
+    for bad in (dict(y=True, q=True), dict(y=0.8, epsilon=True), dict(y=0.8, k=True),
+                dict(y=np.float64(0.8), epsilon=0.1, q=False), dict(y="0.8")):
+        with pytest.raises(ValueError, match="finite and a real number"):
+            EstimatorConfig(**{"epsilon": 0.1, **bad})
+    with pytest.raises(ValueError, match="gamma"):
+        EstimatorConfig(y=0.8, epsilon=0.1, gamma=True)
     for bad in (dict(N=2.5), dict(N=True), dict(max_level=7.5), dict(max_level="9")):
         with pytest.raises(ValueError, match="integer"):
             EstimatorConfig(y=0.8, epsilon=0.1, **bad)

@@ -94,6 +94,13 @@ def test_config_json_round_trip():
     (dict(model_name=["x"]), "model_name must be a string"),
     (dict(model_params=5), "model_params must be a dict"),
     (dict(model_params=[1]), "model_params must be a dict"),
+    (dict(epsilons=[True]), "epsilons must be finite"),
+    (dict(epsilons=[0.1, np.True_]), "epsilons must be finite"),
+    (dict(y=True), "y must be finite"),
+    (dict(k=True), "k must be finite"),
+    (dict(q=True), "q must be finite"),
+    (dict(gamma=False), "gamma"),
+    (dict(reference_p=True), "reference_p"),
 ])
 def test_config_validation(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -134,7 +134,7 @@ def test_corrector_variance_scales_geometrically():
     bounds = {}
     for level in (1, 3):
         batch = sample_corrector_batch(model, 8, level, 0, n, Y, sched)
-        d = batch.q_fine.astype(int) - batch.q_coarse.astype(int)
+        d = batch.sign
         tally = CorrectorTally(level, n=n, n_plus=int((d > 0).sum()), n_minus=int((d < 0).sum()))
         bounds[level] = corrector_moments(tally, k=1.0).var_bound
     ratio = bounds[3] / bounds[1]
@@ -146,7 +146,8 @@ def test_synthetic_rejects_bad_parameters():
         SyntheticNormalModel(q=0.0)
     with pytest.raises(ModelInitError):
         SyntheticNormalModel(b=1.0)
-    for bad in (dict(q=math.nan), dict(q=math.inf), dict(b=math.nan), dict(b=-math.inf)):
+    for bad in (dict(q=math.nan), dict(q=math.inf), dict(b=math.nan), dict(b=-math.inf),
+                dict(q=True), dict(b=False), dict(q="1")):
         with pytest.raises(ModelInitError):
             SyntheticNormalModel(**bad)
 
@@ -168,7 +169,8 @@ def test_elliptic_validation():
     with pytest.raises(ModelInitError):
         EllipticFlux1D(rho=0.0)
     for bad in (dict(sigma=math.nan), dict(sigma=math.inf), dict(rho=math.nan),
-                dict(rho=math.inf), dict(master_cells=512.7), dict(master_cells=True),
+                dict(rho=math.inf), dict(sigma=True), dict(rho=True), dict(sigma=False),
+                dict(master_cells=512.7), dict(master_cells=True),
                 dict(master_cells="512")):
         with pytest.raises(ModelInitError):
             EllipticFlux1D(**bad)

@@ -8,6 +8,7 @@ from mlmcsr.estimators import LevelSchedule
 from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel
 from mlmcsr.refinement import (
     SampleId,
+    _refine,
     assumption_holds,
     sample_corrector_batch,
     solve_selective,
@@ -49,7 +50,7 @@ def reference_refine(model, handle, level, y, rule):
     return value, cost, achieved
 
 
-def reference_batch(model, seed, level, lo, hi, rule):
+def reference_batch(model, seed, level, lo, hi, rule, y=Y):
     """Per-realization reference for ``sample_corrector_batch``: each row
     drawn alone and refined by ``reference_refine`` for both functionals."""
     n = hi - lo
@@ -58,12 +59,27 @@ def reference_batch(model, seed, level, lo, hi, rule):
     stop = np.zeros(n, dtype=np.int64)
     for pos, i in enumerate(range(lo, hi)):
         handle = model.draw_batch(seed, level, i, i + 1)
-        value, c_f[pos], stop[pos] = reference_refine(model, handle, level, Y, rule)
-        q_f[pos] = value <= Y
+        value, c_f[pos], stop[pos] = reference_refine(model, handle, level, y, rule)
+        q_f[pos] = value <= y
         if level >= 1:
-            value, _, _ = reference_refine(model, handle, level - 1, Y, rule)
-            q_c[pos] = value <= Y
+            value, _, _ = reference_refine(model, handle, level - 1, y, rule)
+            q_c[pos] = value <= y
     return q_f, q_c, c_f, stop
+
+
+def kernel_chunk(model, seed, level, lo, hi, rule):
+    """(sign, stop, cost) of the kernel on rows lo..hi-1 under ``rule``;
+    the certified rule runs through ``sample_corrector_batch``."""
+    if rule == "certified":
+        batch = sample_corrector_batch(model, seed, level, lo, hi, Y, SCHED)
+        return batch.sign, batch.stop, batch.cost_fine
+    drawn = model.draw_batch(seed, level, lo, hi)
+    _, cost, stop, sign = _refine(model, drawn, hi - lo, level, Y, SCHED, rule)
+    return sign, stop, cost
+
+
+def corrector(q_f, q_c):
+    return q_f.astype(np.int8) - q_c.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +186,12 @@ def test_rule_name_is_validated():
 @pytest.mark.parametrize("level", [0, 1, 4])
 def test_batch_matches_scalar_loop_bitwise(rule, level):
     for model in (SyntheticNormalModel(q=2.0), EllipticFlux1D(master_cells=128)):
-        fast = sample_corrector_batch(model, 99, level, 10, 60, Y, SCHED, rule=rule)
-        q_f, q_c, c_f, stop = reference_batch(model, 99, level, 10, 60, rule)
-        np.testing.assert_array_equal(fast.q_fine, q_f)
-        np.testing.assert_array_equal(fast.q_coarse, q_c)
-        np.testing.assert_array_equal(fast.cost_fine, c_f)
-        np.testing.assert_array_equal(fast.stop, stop)
-        np.testing.assert_array_equal(fast.stop_counts,
-                                      np.bincount(stop, minlength=level + 1))
-        for i, expected in enumerate(stop):
+        sign, stop, cost = kernel_chunk(model, 99, level, 10, 60, rule)
+        q_f, q_c, c_f, ref_stop = reference_batch(model, 99, level, 10, 60, rule)
+        np.testing.assert_array_equal(sign, corrector(q_f, q_c))
+        np.testing.assert_array_equal(cost, c_f)
+        np.testing.assert_array_equal(stop, ref_stop)
+        for i, expected in enumerate(ref_stop):
             state = solve_selective(model, SampleId(99, level, 10 + i), level, Y, SCHED,
                                     rule=rule)
             assert state.achieved_tolerance_index == expected
@@ -194,13 +207,32 @@ def test_batch_matches_scalar_loop_bitwise(rule, level):
 )
 def test_batch_matches_reference_property(level, lo, n, rule, q):
     model = SyntheticNormalModel(q=q)
-    fast = sample_corrector_batch(model, 7, level, lo, lo + n, Y, SCHED, rule=rule)
-    q_f, q_c, c_f, stop = reference_batch(model, 7, level, lo, lo + n, rule)
-    np.testing.assert_array_equal(fast.q_fine, q_f)
-    np.testing.assert_array_equal(fast.q_coarse, q_c)
-    assert fast.cost_fine.tobytes() == c_f.tobytes()
-    np.testing.assert_array_equal(fast.stop, stop)
-    np.testing.assert_array_equal(fast.stop_counts, np.bincount(stop, minlength=level + 1))
+    sign, stop, cost = kernel_chunk(model, 7, level, lo, lo + n, rule)
+    q_f, q_c, c_f, ref_stop = reference_batch(model, 7, level, lo, lo + n, rule)
+    assert sign.dtype == np.int8
+    np.testing.assert_array_equal(sign, corrector(q_f, q_c))
+    assert cost.tobytes() == c_f.tobytes()
+    np.testing.assert_array_equal(stop, ref_stop)
+
+
+@pytest.mark.parametrize("model", [SyntheticNormalModel(q=1.0), SyntheticNormalModel(q=2.0),
+                                   EllipticFlux1D(master_cells=64)],
+                         ids=["synthetic-q1", "synthetic-q2", "elliptic-m64"])
+def test_sign_is_the_corrector_and_sits_on_the_last_rung(model):
+    # the kernel decides each sign from rung l's active set alone; the
+    # reference refines every row to both levels from scratch
+    rng = np.random.default_rng(1408)
+    y = 0.99 if isinstance(model, EllipticFlux1D) else Y
+    nonzero = 0
+    for level in range(9):
+        lo = int(rng.integers(0, 1 << 30))
+        batch = sample_corrector_batch(model, 23, level, lo, lo + 120, y, SCHED)
+        q_f, q_c, _, _ = reference_batch(model, 23, level, lo, lo + 120, "certified", y)
+        np.testing.assert_array_equal(batch.sign, corrector(q_f, q_c))
+        if level:
+            assert np.all(batch.stop[batch.sign != 0] == level)
+            nonzero += np.count_nonzero(batch.sign)
+    assert nonzero > 0
 
 
 def test_batch_coarse_is_fine_truncated():
@@ -209,7 +241,7 @@ def test_batch_coarse_is_fine_truncated():
     model = SyntheticNormalModel(q=2.0)
     batch = sample_corrector_batch(model, 31, 5, 0, 2000, Y, SCHED)
     # correctors are sparse: most realizations agree across levels
-    assert np.mean(batch.q_fine != batch.q_coarse) < 0.1
+    assert np.mean(batch.sign != 0) < 0.1
 
 
 def test_entry_probability_decays_geometrically():
@@ -217,7 +249,7 @@ def test_entry_probability_decays_geometrically():
     model = SyntheticNormalModel(q=1.0)
     n = 100_000
     batch = sample_corrector_batch(model, 17, 8, 0, n, Y, SCHED)
-    frac = np.array([batch.stop_counts[j:].sum() / n for j in range(1, 7)])
+    frac = np.array([np.count_nonzero(batch.stop >= j) / n for j in range(1, 7)])
     slope = np.polyfit(np.arange(1, 7), np.log(frac), 1)[0]
     assert -1.3 * np.log(2) < slope < -0.7 * np.log(2)
 
@@ -225,7 +257,7 @@ def test_entry_probability_decays_geometrically():
 def test_batch_empty_range():
     model = SyntheticNormalModel()
     batch = sample_corrector_batch(model, 1, 2, 5, 5, Y, SCHED)
-    assert batch.q_fine.size == 0
+    assert batch.sign.size == batch.stop.size == batch.cost_fine.size == 0
     with pytest.raises(ValueError):
         sample_corrector_batch(model, 1, 2, 5, 4, Y, SCHED)
 
