@@ -360,6 +360,7 @@ def run_mc_baseline(
     config: EstimatorConfig,
     seed: int,
     threads: int = 1,
+    pilots: dict | None = None,
 ) -> RunRecord:
     """Single-level Monte Carlo comparison run.
 
@@ -372,9 +373,15 @@ def run_mc_baseline(
     entry's tally counts the hits in ``n_plus`` (there are no correctors
     in this method); the termination trace holds the pilot's (level,
     bias_bound, threshold) rows.
+
+    ``pilots``, one dict shared by the runs of one seed and model, keeps
+    each pilot level's sums: a pilot level is the same realizations
+    solved at the same tolerances for every epsilon, so a later run
+    reads them instead of drawing and solving the level again.
     """
     with _worker_pool(threads) as pool:
-        return _run_mc_baseline(model, config, seed, pool)
+        return _run_mc_baseline(model, config, seed, pool,
+                                {} if pilots is None else pilots)
 
 
 def _pilot_bias_floor(config: EstimatorConfig) -> float:
@@ -392,7 +399,7 @@ def _pilot_bias_floor(config: EstimatorConfig) -> float:
     return config.k / (n + config.k) / (1.0 / config.gamma - 1.0)
 
 
-def _run_mc_baseline(model, config, seed, pool):
+def _run_mc_baseline(model, config, seed, pool, pilots):
     """The body of ``run_mc_baseline``, with its worker pool open."""
     sched = config.schedule
     threshold = config.epsilon / math.sqrt(2.0)
@@ -420,15 +427,14 @@ def _run_mc_baseline(model, config, seed, pool):
             return (int(np.count_nonzero(qf > qc)), int(np.count_nonzero(qf < qc)),
                     int(np.count_nonzero(qf)), float(wf.sum()), float(wc.sum()))
 
-        tally = CorrectorTally(L, n=n_pilot)
-        n_hits, fine_cost, coarse_cost = 0, 0.0, 0.0
-        for n_plus, n_minus, h, wf, wc in _map_chunks(pilot, 0, n_pilot,
-                                                      model.batch_chunk, pool):
-            tally.n_plus += n_plus
-            tally.n_minus += n_minus
-            n_hits += h
-            fine_cost += wf
-            coarse_cost += wc
+        key = (L, n_pilot, fine_tol, coarse_tol, config.y)
+        if key not in pilots:
+            sums = [0, 0, 0, 0.0, 0.0]   # n_plus, n_minus, hits, fine and coarse cost
+            for chunk in _map_chunks(pilot, 0, n_pilot, model.batch_chunk, pool):
+                sums = [a + b for a, b in zip(sums, chunk)]
+            pilots[key] = tuple(sums)
+        n_plus, n_minus, n_hits, fine_cost, coarse_cost = pilots[key]
+        tally = CorrectorTally(L, n=n_pilot, n_plus=n_plus, n_minus=n_minus)
         tally.check()
         pilot_cost += coarse_cost
         bias = bias_bound(corrector_moments(tally, config.k), config.gamma)

@@ -335,10 +335,11 @@ def _seed_runs(model, method: str, configs: list[EstimatorConfig],
     """The records of one seed over the epsilon grid, in config order.
 
     The mlmc-sr runs of a seed share one OutcomeStore, so each
-    realization is refined once.
+    realization is refined once; its mc runs share their pilot levels.
     """
     if method == "mc":
-        return [run_mc_baseline(model, c, seed) for c in configs]
+        pilots: dict = {}
+        return [run_mc_baseline(model, c, seed, pilots=pilots) for c in configs]
     store = OutcomeStore(model, seed, configs[0])
     return [run_mlmc_sr(model, c, seed, store=store) for c in configs]
 

@@ -96,6 +96,8 @@ class SyntheticNormalModel:
             raise ModelInitError(f"work exponent q must be finite and positive, got {q!r}")
         if not (is_finite_real(b) and -1.0 < b < 1.0):
             raise ModelInitError(f"skew b must lie in (-1, 1), got {b!r}")
+        if uniform_source is not None and not callable(uniform_source):
+            raise ModelInitError(f"uniform_source must be callable, got {uniform_source!r}")
         self.q = q
         self.b = b
         self.uniform_source = uniform_source

@@ -252,11 +252,11 @@ def test_seed_isolation_from_experiment_context():
         assert solo.total_cost == row.total_cost
 
 
-def solo_report(model, cfg, reference):
+def solo_report(model, cfg, reference, runner=run_mlmc_sr):
     """Rows, summaries and histograms of ``cfg`` from one store-less run per (epsilon, seed)."""
     rows, summaries, histograms = [], [], []
     for epsilon in cfg.epsilons:
-        records = [run_mlmc_sr(model, cfg.estimator_config(epsilon), cfg.seed + i)
+        records = [runner(model, cfg.estimator_config(epsilon), cfg.seed + i)
                    for i in range(cfg.runs)]
         group = [_run_row(rec, i, reference) for i, rec in enumerate(records)]
         rows += group
@@ -287,6 +287,32 @@ def test_seed_major_elliptic_grid_equals_solo_runs():
                            epsilons=[0.05, 0.02], runs=3, y=0.99, seed=40, reference_p=0.8)
     report = run_experiment(cfg)
     rows, summaries, histograms = solo_report(cfg.build_model(), cfg, report.reference)
+    assert report.rows == rows
+    assert report.summaries == summaries
+    for a, b in zip(report.histograms, histograms):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_mc_grid_shares_pilot_levels_and_equals_solo_runs(monkeypatch, order, threads):
+    # a seed's mc runs read each pilot level from the first run that drew it
+    epsilons = [0.02, 0.05, 0.1] if order == "ascending" else [0.1, 0.05, 0.02]
+    cfg = small_config(q=2.0, epsilons=epsilons, runs=3, seed=300, threads=threads,
+                       method="mc")
+    draws = []
+    draw = SyntheticNormalModel.draw_batch
+
+    def counting(self, seed, level, lo, hi):
+        draws.append((seed, level, lo, hi))
+        return draw(self, seed, level, lo, hi)
+
+    monkeypatch.setattr(SyntheticNormalModel, "draw_batch", counting)
+    report = run_experiment(cfg)
+    pilot_draws = [d for d in draws if d[2] == 0]
+    assert len(pilot_draws) == len(set(pilot_draws))
+    rows, summaries, histograms = solo_report(SyntheticNormalModel(q=2.0), cfg,
+                                              report.reference, driver.run_mc_baseline)
     assert report.rows == rows
     assert report.summaries == summaries
     for a, b in zip(report.histograms, histograms):

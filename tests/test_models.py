@@ -152,6 +152,14 @@ def test_synthetic_rejects_bad_parameters():
             SyntheticNormalModel(**bad)
 
 
+@pytest.mark.parametrize("source", [5, 0.5, "u", [0.5]])
+def test_synthetic_rejects_a_uniform_source_that_is_not_callable(source):
+    with pytest.raises(ModelInitError, match="uniform_source"):
+        SyntheticNormalModel(uniform_source=source)
+    with pytest.raises(ModelInitError, match="uniform_source"):
+        build_model("synthetic-normal", {"uniform_source": source})
+
+
 # ---------------------------------------------------------------------------
 # elliptic flux model
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import operator
 
+import math
+import statistics
+
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtri
 
 from mlmcsr.streams import (
     _counter_words,
+    _inverse_normal_cdf,
     derive_key,
     mix64,
     normal_at,
@@ -17,6 +22,7 @@ from mlmcsr.streams import (
 KEY = derive_key(12345, 3, 0)
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
+U_MAX = 1.0 - 2.0 ** -53
 
 
 def words_at(key, counters):
@@ -85,6 +91,19 @@ def test_batch_boundaries_do_not_matter():
     np.testing.assert_array_equal(a, b)
 
 
+def test_normal_batch_boundaries_do_not_matter():
+    # the tails are gathered per call, so a row's normal must not depend on
+    # which rows share its call
+    counters = np.arange(50_000, dtype=np.uint64)
+    whole = normal_at(KEY, counters)
+    rng = np.random.default_rng(5)
+    for pieces in (2, 7, 60, 900):
+        cuts = np.sort(rng.choice(np.arange(1, counters.size), pieces - 1, replace=False))
+        parts = [normal_at(KEY, c) for c in np.split(counters, cuts)]
+        np.testing.assert_array_equal(np.concatenate(parts).view(np.uint64),
+                                      whole.view(np.uint64))
+
+
 def test_raw_values_unique_over_a_million():
     raw = words_at(KEY, np.arange(1_000_000, dtype=np.uint64))
     assert np.unique(raw).size == 1_000_000
@@ -147,3 +166,132 @@ def test_distinct_keys_decorrelate():
     u0 = uniform_at(KEY, np.arange(100_000, dtype=np.uint64))
     u1 = uniform_at(other, np.arange(100_000, dtype=np.uint64))
     assert abs(np.corrcoef(u0, u1)[0, 1]) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the all-ones word, and the inverse normal CDF against scipy's ndtri
+# ---------------------------------------------------------------------------
+
+def unmix64(z):
+    """Inverse of ``mix64``: undo each xorshift and odd multiply in turn."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+def counter_of_word(key, word):
+    """The counter whose splitmix64 output under ``key`` is ``word``."""
+    return ((unmix64(word) - key) * pow(GOLDEN, -1, 1 << 64) - 1) & MASK
+
+
+def test_all_ones_word_gives_the_largest_uniform_below_one():
+    # (2**53 - 1) + 0.5 rounds to 2**53, which read 1.0 and a normal of +inf
+    cases = [(derive_key(7, 3, 0), 8302822365848677447)]
+    for key in (KEY, derive_key(0, 0, 0), derive_key(99, 5, 2), 0, MASK):
+        for low in (0, 0x400, 0x7FF):
+            cases.append((key, counter_of_word(key, ((2 ** 53 - 1) << 11) | low)))
+    for key, c in cases:
+        counters = np.array([c], dtype=np.uint64)
+        assert words_at(key, counters)[0] >> 11 == 2 ** 53 - 1
+        u = uniform_at(key, counters)
+        assert u[0] == U_MAX
+        z = normal_at(key, counters)
+        assert np.isfinite(z[0])
+        assert z[0] == inverse_cdf([U_MAX])[0]
+        assert z[0] == pytest.approx(ndtri(U_MAX), rel=4e-16)
+    # the word just below keeps its centre
+    c = counter_of_word(KEY, (2 ** 53 - 2) << 11)
+    assert uniform_at(KEY, np.array([c], dtype=np.uint64))[0] == (2 ** 53 - 1.5) * 2.0 ** -53
+
+
+def ulps_from_ndtri(u, x):
+    ref = ndtri(u)
+    return np.abs(x - ref) / np.spacing(np.abs(ref))
+
+
+def inverse_cdf(u):
+    u = np.array(u, dtype=np.float64)
+    return _inverse_normal_cdf(u.copy(), np.empty((2,) + u.shape))
+
+
+def test_normals_stay_within_16_ulps_of_ndtri_over_ten_million_draws():
+    block = 1 << 20
+    worst = 0.0
+    for key in (KEY, derive_key(0, 0, 0), derive_key(7, 1, 0), derive_key(2 ** 40, 6, 3),
+                derive_key(31337, 2, 1)):
+        for lo in range(0, 2 * block, block):
+            counters = np.arange(lo, lo + block, dtype=np.uint64)
+            z = normal_at(key, counters)
+            worst = max(worst, ulps_from_ndtri(uniform_at(key, counters), z).max())
+    assert worst <= 16
+
+
+def test_inverse_cdf_matches_the_standard_library_algorithm():
+    # statistics.NormalDist.inv_cdf is AS241 too: the same coefficients
+    # and, in the centre, the same operations; the tails may differ by
+    # the last bits of log
+    u = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 20_001),
+                        np.geomspace(2.0 ** -54, 0.1, 2_001),
+                        1.0 - np.geomspace(2.0 ** -53, 0.1, 2_001)])
+    ref = np.array([statistics.NormalDist().inv_cdf(v) for v in u])
+    x = inverse_cdf(u)
+    assert (np.abs(x - ref) / np.spacing(np.abs(ref))).max() <= 4
+
+
+def test_normal_at_is_the_inverse_cdf_of_uniform_at():
+    counters = np.arange(3, 200_003, dtype=np.uint64)
+    u = uniform_at(KEY, counters)
+    np.testing.assert_array_equal(normal_at(KEY, counters).view(np.uint64),
+                                  inverse_cdf(u).view(np.uint64))
+
+
+def test_extreme_uniforms():
+    lo, hi = 2.0 ** -54, U_MAX   # the smallest and largest uniforms
+    x = inverse_cdf([lo, hi, 1.0])
+    assert np.all(np.isfinite(x))
+    assert ulps_from_ndtri(np.array([lo, hi]), x[:2]).max() <= 16
+    assert x[2] == x[1]   # 1.0 is read as the largest uniform below it
+
+
+def near(p):
+    """Uniforms within 100 ulps and within a relative 1e-13 of ``p``."""
+    steps = np.arange(-100, 101)
+    u = np.concatenate([p + steps * np.spacing(p), p * (1.0 + steps * 1e-15)])
+    return np.unique(u[(u > 0.0) & (u < 1.0)])
+
+
+@pytest.mark.parametrize("point, side", [
+    (0.075, lambda u: np.abs(u - 0.5) <= 0.425),
+    (0.925, lambda u: np.abs(u - 0.5) <= 0.425),
+    (math.exp(-25.0), lambda u: np.sqrt(-np.log(np.minimum(u, 1.0 - u))) <= 5.0),
+    (1.0 - math.exp(-25.0), lambda u: np.sqrt(-np.log(np.minimum(u, 1.0 - u))) <= 5.0),
+])
+def test_both_sides_of_each_branch_point(point, side):
+    # |u - 0.5| = 0.425 splits centre and tail; r = sqrt(-log(min(u, 1-u))) = 5
+    # splits the two tail rationals
+    u = near(point)
+    inside = side(u)
+    assert inside.any() and not inside.all()
+    assert ulps_from_ndtri(u, inverse_cdf(u)).max() <= 16
+
+
+def test_half_maps_to_exactly_zero():
+    x = inverse_cdf([0.5])
+    assert x[0] == 0.0 and not np.signbit(x[0])
+
+
+@pytest.mark.parametrize("n", [16_384, 32_768])
+def test_normal_out_buffer_at_model_block_sizes(n):
+    counters = np.arange(n, 2 * n, dtype=np.uint64)
+    fresh = normal_at(KEY, counters)
+    buf = np.full(n, np.nan)
+    assert normal_at(KEY, counters, out=buf) is buf
+    np.testing.assert_array_equal(buf.view(np.uint64), fresh.view(np.uint64))
+    # a strided 2D out gets the same bits in the same places
+    wide = np.full((n // 64, 128), np.nan)
+    view = wide[:, ::2]
+    assert normal_at(KEY, counters.reshape(view.shape), out=view) is view
+    np.testing.assert_array_equal(view.reshape(-1), fresh)
+    assert np.isnan(wide[:, 1::2]).all()
