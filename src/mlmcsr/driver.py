@@ -135,31 +135,32 @@ def _map_chunks(fn, lo: int, hi: int, chunk: int, pool: ThreadPoolExecutor | Non
     return pool.map(fn, ranges) if pool is not None else map(fn, ranges)
 
 
-# An OutcomeStore records at most STORE_ROWS rows (about 10 bytes each),
-# all levels together, and grows by blocks of STORE_BLOCK rows.
+# An OutcomeStore records at most STORE_ROWS rows (about 10 bytes each).
 STORE_ROWS = 1 << 20
-STORE_BLOCK = 1 << 12
 
 
 class OutcomeStore:
-    """Per-row refinement outcomes of one seed, shared by the runs of a grid.
+    """Refinement outcomes of one seed, shared by the runs of a grid.
 
     Realization (seed, level, index) is drawn and refined to the same
     bits by every run with the same model, y, gamma and q, whatever its
     epsilon.  A store records, per level, the (sign, stop, cost) outcome
-    of each refined row for indices 0..n-1 in blocks of STORE_BLOCK
-    rows, and ``run_mlmc_sr`` folds any chunk the store covers in full
-    from those arrays instead of drawing and refining it.  The counts
-    and the per-chunk cost sums are the same numbers, so records are
-    bit-identical with or without a store.  At most STORE_ROWS rows are
-    recorded; rows past that are refined and not recorded.
+    of each refined row for indices 0..n-1 in one array per column,
+    grown by doubling, and ``run_mlmc_sr`` folds any chunk the store
+    covers in full from those arrays instead of drawing and refining
+    it.  The counts and the per-chunk cost sums are the same numbers, so
+    records are bit-identical with or without a store.  At most
+    STORE_ROWS rows are recorded; rows past that are refined and not
+    recorded.  ``pilots`` keeps the sums of each mc pilot level, keyed
+    (level, pilot size), for ``run_mc_baseline``.
     """
 
     def __init__(self, model: ModelContract, seed: int, config: EstimatorConfig):
         self._key = (model, seed, config.y, config.gamma, config.q)
-        self._blocks: dict[int, list[tuple[np.ndarray, ...]]] = {}
+        self._columns: dict[int, tuple[np.ndarray, ...]] = {}
         self._covered: dict[int, int] = {}
         self.rows = 0
+        self.pilots: dict[tuple[int, int], tuple] = {}
 
     def check(self, model: ModelContract, seed: int, config: EstimatorConfig) -> None:
         """Raise ValueError unless the store was made for this model, seed and config."""
@@ -173,35 +174,29 @@ class OutcomeStore:
         return self._covered.get(level, 0)
 
     def take(self, level: int, a: int, b: int) -> tuple[np.ndarray, ...]:
-        """(sign, stop, cost) of rows a..b-1 of a level, where 0 <= a < b <= covered."""
-        blocks, B = self._blocks[level], STORE_BLOCK
-        parts = [tuple(arr[max(a - k * B, 0):min(b - k * B, B)] for arr in blocks[k])
-                 for k in range(a // B, (b - 1) // B + 1)]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        """Views of (sign, stop, cost) of rows a..b-1 of a level; 0 <= a < b <= covered."""
+        return tuple(column[a:b] for column in self._columns[level])
 
     def record(self, level: int, a: int, outcomes: tuple[np.ndarray, ...]) -> None:
         """Record the (sign, stop, cost) rows a, a+1, ... of a level past
         those it holds, while the STORE_ROWS budget lasts; none when a is
         past them, because the store holds a prefix of each level."""
-        blocks = self._blocks.setdefault(level, [])
-        n = self._covered.get(level, 0)
-        start = n - a
-        if start < 0:
+        n = self.covered(level)
+        start, room = n - a, STORE_ROWS - self.rows
+        m = min(len(outcomes[0]) - start, room)
+        if start < 0 or m <= 0:
             return
-        end = start + max(0, min(len(outcomes[0]) - start, STORE_ROWS - self.rows))
-        self.rows += end - start
-        while start < end:
-            k, off = divmod(n, STORE_BLOCK)
-            if k == len(blocks):
-                blocks.append(tuple(np.empty(STORE_BLOCK, col.dtype) for col in outcomes))
-            m = min(STORE_BLOCK - off, end - start)
-            for dst, src in zip(blocks[k], outcomes):
-                dst[off:off + m] = src[start:start + m]
-            n += m
-            start += m
-        self._covered[level] = n
+        columns = self._columns.get(level)
+        if columns is None or columns[0].size < n + m:
+            size = min(max(2 * n, n + m), n + room)
+            grown = tuple(np.empty(size, src.dtype) for src in outcomes)
+            for dst, old in zip(grown, columns or ()):
+                dst[:n] = old[:n]
+            self._columns[level] = columns = grown
+        for dst, src in zip(columns, outcomes):
+            dst[n:n + m] = src[start:start + m]
+        self._covered[level] = n + m
+        self.rows += m
 
 
 def _count_stops(stop: np.ndarray, level: int) -> np.ndarray:
@@ -360,7 +355,7 @@ def run_mc_baseline(
     config: EstimatorConfig,
     seed: int,
     threads: int = 1,
-    pilots: dict | None = None,
+    store: OutcomeStore | None = None,
 ) -> RunRecord:
     """Single-level Monte Carlo comparison run.
 
@@ -374,14 +369,18 @@ def run_mc_baseline(
     in this method); the termination trace holds the pilot's (level,
     bias_bound, threshold) rows.
 
-    ``pilots``, one dict shared by the runs of one seed and model, keeps
-    each pilot level's sums: a pilot level is the same realizations
-    solved at the same tolerances for every epsilon, so a later run
-    reads them instead of drawing and solving the level again.
+    A ``store`` keeps each pilot level's sums: a pilot level is the
+    same realizations solved at the same tolerances for every epsilon,
+    so a later run of the seed reads them instead of drawing and
+    solving the level again; the record is the same without it.
+    Raises ValueError if the store was made for another model, seed, y,
+    gamma or q.
     """
+    if store is not None:
+        store.check(model, seed, config)
     with _worker_pool(threads) as pool:
         return _run_mc_baseline(model, config, seed, pool,
-                                {} if pilots is None else pilots)
+                                {} if store is None else store.pilots)
 
 
 def _pilot_bias_floor(config: EstimatorConfig) -> float:
@@ -427,7 +426,7 @@ def _run_mc_baseline(model, config, seed, pool, pilots):
             return (int(np.count_nonzero(qf > qc)), int(np.count_nonzero(qf < qc)),
                     int(np.count_nonzero(qf)), float(wf.sum()), float(wc.sum()))
 
-        key = (L, n_pilot, fine_tol, coarse_tol, config.y)
+        key = (L, n_pilot)
         if key not in pilots:
             sums = [0, 0, 0, 0.0, 0.0]   # n_plus, n_minus, hits, fine and coarse cost
             for chunk in _map_chunks(pilot, 0, n_pilot, model.batch_chunk, pool):

@@ -86,10 +86,11 @@ class ExperimentConfig:
             raise ConfigError(f"model_name must be a string, got {self.model_name!r}")
         if not isinstance(self.model_params, dict):
             raise ConfigError(f"model_params must be a dict, got {self.model_params!r}")
-        if not self.epsilons:
-            raise ConfigError("epsilons must be a nonempty list")
+        if not isinstance(self.epsilons, (list, tuple)) or not self.epsilons:
+            raise ConfigError(f"epsilons must be a nonempty list, got {self.epsilons!r}")
         if not all(is_finite_real(e) and e > 0.0 for e in self.epsilons):
             raise ConfigError(f"epsilons must be finite and positive, got {self.epsilons}")
+        self.epsilons = [float(e) for e in self.epsilons]
         for name in ("reference_p", "reference_stderr"):
             value = getattr(self, name)
             if value is not None and not is_finite_real(value):
@@ -334,14 +335,12 @@ def _seed_runs(model, method: str, configs: list[EstimatorConfig],
                seed: int) -> list[RunRecord]:
     """The records of one seed over the epsilon grid, in config order.
 
-    The mlmc-sr runs of a seed share one OutcomeStore, so each
-    realization is refined once; its mc runs share their pilot levels.
+    The runs of a seed share one OutcomeStore: mlmc-sr runs refine each
+    realization once, and mc runs share their pilot levels.
     """
-    if method == "mc":
-        pilots: dict = {}
-        return [run_mc_baseline(model, c, seed, pilots=pilots) for c in configs]
+    runner = run_mlmc_sr if method == "mlmc-sr" else run_mc_baseline
     store = OutcomeStore(model, seed, configs[0])
-    return [run_mlmc_sr(model, c, seed, store=store) for c in configs]
+    return [runner(model, c, seed, store=store) for c in configs]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -327,8 +327,7 @@ def count_kernel_calls(monkeypatch):
 
 def test_store_serves_covered_chunks_without_the_kernel(monkeypatch):
     model = SyntheticNormalModel(q=2.0)
-    model.batch_chunk = 64  # many chunks, some straddling a store block
-    monkeypatch.setattr(driver, "STORE_BLOCK", 100)
+    model.batch_chunk = 64  # many chunks
     fine = EstimatorConfig(y=Y, epsilon=0.01, q=2.0)
     coarse = EstimatorConfig(y=Y, epsilon=0.03, q=2.0)
     store = OutcomeStore(model, 8, fine)
@@ -348,10 +347,9 @@ def test_store_serves_covered_chunks_without_the_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("target", [99, 100, 101, 150, 230])
-def test_store_serves_exactly_the_rows_it_holds(monkeypatch, target):
+def test_store_serves_exactly_the_rows_it_holds(target):
     # the store holds rows 0..99 of level 2; chunks of 64 from 0 end at
     # 64, 128, ...: the one past row 100 must be refined, not read
-    monkeypatch.setattr(driver, "STORE_BLOCK", 48)
     model = SyntheticNormalModel(q=2.0)
     model.batch_chunk = 64
     cfg = EstimatorConfig(y=Y, epsilon=0.05, q=2.0)
@@ -374,7 +372,6 @@ def test_store_serves_exactly_the_rows_it_holds(monkeypatch, target):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_store_with_a_tiny_budget_gives_the_same_records(monkeypatch, threads):
     monkeypatch.setattr(driver, "STORE_ROWS", 300)
-    monkeypatch.setattr(driver, "STORE_BLOCK", 16)
     model = SyntheticNormalModel(q=1.5)
     model.batch_chunk = 50
     configs = [EstimatorConfig(y=Y, epsilon=e, q=1.5) for e in (0.1, 0.02, 0.05)]
@@ -385,22 +382,72 @@ def test_store_with_a_tiny_budget_gives_the_same_records(monkeypatch, threads):
     assert store.rows == 300
 
 
-@pytest.mark.parametrize("change", [
+def test_store_doubles_each_level_within_the_budget(monkeypatch):
+    monkeypatch.setattr(driver, "STORE_ROWS", 1000)
+    store = OutcomeStore(ConstantModel(Y), 0, EstimatorConfig(y=Y, epsilon=0.1))
+
+    def rows(a, b):
+        index = np.arange(a, b)
+        return (index % 3 - 1).astype(np.int8), (index % 7).astype(np.uint8), index * 0.5
+
+    def size(level):
+        return {column.size for column in store._columns[level]}
+
+    store.record(0, 0, rows(0, 400))
+    store.record(1, 0, rows(0, 100))
+    store.record(0, 400, rows(400, 450))    # doubles level 0
+    store.record(0, 500, rows(500, 600))    # past its rows: not recorded
+    assert (size(0), store.covered(0), store.rows) == ({800}, 450, 550)
+    store.record(1, 50, rows(50, 250))      # 150 new rows, past twice 100
+    store.record(0, 440, rows(440, 600))    # fills level 0's 800 rows
+    assert (size(1), store.covered(0), store.rows) == ({250}, 600, 850)
+    store.record(1, 250, rows(250, 400))    # doubling would pass the budget
+    assert (size(1), store.covered(1), store.rows) == ({400}, 400, 1000)
+    store.record(0, 600, rows(600, 700))    # the budget is spent
+    assert store.covered(0) == 600
+    for level, n in [(0, 600), (1, 400)]:
+        for got, want in zip(store.take(level, 0, n), rows(0, n)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype and got.base is not None  # a view
+
+
+def test_mc_store_gives_the_records_of_runs_made_alone():
+    # pilot sums are kept per (level, pilot size), so runs of another N
+    # or epsilon read only the pilots they would have drawn themselves
+    model = SyntheticNormalModel(q=2.0)
+    configs = [EstimatorConfig(y=Y, epsilon=e, q=2.0, N=n)
+               for e, n in [(0.05, 10), (0.1, 10), (0.05, 20), (0.02, 10), (0.1, 20)]]
+    store = OutcomeStore(model, 6, configs[0])
+    for cfg in configs:
+        records_equal(run_mc_baseline(model, cfg, 6, store=store),
+                      run_mc_baseline(model, cfg, 6))
+    assert store.rows == 0
+    assert {(1, 20), (1, 40), (3, 80), (3, 160)} <= set(store.pilots)
+
+
+STORE_MISMATCHES = [
     dict(model=SyntheticNormalModel(q=2.0)),  # an equal model, but not the same object
     dict(seed=4),
     dict(y=0.81), dict(gamma=0.25), dict(q=1.0),
+]
+
+
+@pytest.mark.parametrize("change, runner", [
+    pytest.param(change, runner, id=f"{prefix}change{i}")
+    for prefix, runner in [("", run_mlmc_sr), ("mc-", run_mc_baseline)]
+    for i, change in enumerate(STORE_MISMATCHES)
 ])
-def test_store_refuses_a_run_it_was_not_made_for(change):
+def test_store_refuses_a_run_it_was_not_made_for(change, runner):
     model = SyntheticNormalModel(q=2.0)
     store = OutcomeStore(model, 3, EstimatorConfig(y=Y, epsilon=0.1, q=2.0))
     args = dict(model=model, seed=3, y=Y, gamma=0.5, q=2.0)
     args.update(change)
     cfg = EstimatorConfig(y=args["y"], epsilon=0.1, gamma=args["gamma"], q=args["q"])
     with pytest.raises(ValueError, match="OutcomeStore"):
-        run_mlmc_sr(args["model"], cfg, args["seed"], store=store)
+        runner(args["model"], cfg, args["seed"], store=store)
     # epsilon, N, k and max_level leave every row's outcome alone
-    run_mlmc_sr(model, EstimatorConfig(y=Y, epsilon=0.05, q=2.0, N=20, k=2.0, max_level=12),
-                3, store=store)
+    runner(model, EstimatorConfig(y=Y, epsilon=0.05, q=2.0, N=20, k=2.0, max_level=12),
+           3, store=store)
 
 
 def test_store_keeps_stop_rungs_past_an_int8():

@@ -72,6 +72,13 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_config_keeps_epsilons_as_a_list_of_floats():
+    cfg = small_config(epsilons=(np.float64(0.1), 1))
+    assert cfg.epsilons == [0.1, 1.0]
+    assert [type(e) for e in cfg.epsilons] == [float, float]
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
 @pytest.mark.parametrize("mutation, fragment", [
     (dict(epsilons=[]), "nonempty"),
     (dict(epsilons=[0.1, -0.1]), "positive"),
@@ -101,6 +108,9 @@ def test_config_json_round_trip():
     (dict(q=True), "q must be finite"),
     (dict(gamma=False), "gamma"),
     (dict(reference_p=True), "reference_p"),
+    (dict(epsilons=0.1), "epsilons must be a nonempty list"),
+    (dict(epsilons=np.array([0.1, 0.05])), "epsilons must be a nonempty list"),
+    (dict(epsilons={0.1: 1}), "epsilons must be a nonempty list"),
 ])
 def test_config_validation(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):
