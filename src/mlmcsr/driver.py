@@ -21,6 +21,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -73,7 +74,9 @@ class RunRecord:
     ``termination_trace`` rows are (level, lhs, rhs) of the stopping
     comparison: every row but the last has lhs >= rhs.  The histogram
     matrix counts, per level (columns), how many realizations stopped
-    refining at each ladder index (rows).
+    refining at each ladder index (rows).  ``estimate_clamped`` and
+    ``final_L`` are derived: the raw estimate clamped to [0, 1], and the
+    last level in ``per_level`` (``config.max_level`` when it is empty).
     """
 
     config: EstimatorConfig
@@ -81,18 +84,27 @@ class RunRecord:
     method: str
     converged: bool
     estimate_raw: float
-    estimate_clamped: float
-    final_L: int
     per_level: list[LevelState]
     total_cost: float
     termination_trace: list[tuple[int, float, float]]
 
     @property
+    def estimate_clamped(self) -> float:
+        return min(max(self.estimate_raw, 0.0), 1.0)
+
+    @property
+    def final_L(self) -> int:
+        return self.per_level[-1].level if self.per_level else self.config.max_level
+
+    @property
     def refinement_histogram(self) -> np.ndarray:
-        rows = max((ls.histogram.size for ls in self.per_level), default=0)
-        mat = np.zeros((rows, len(self.per_level)), dtype=np.int64)
-        for col, ls in enumerate(self.per_level):
-            mat[: ls.histogram.size, col] = ls.histogram
+        """Stop counts by ladder index (rows) and level 0..final_L (columns);
+        the columns of levels a run has no entry for (below an mc run's
+        one level) are zeros."""
+        size = max((ls.level + 1 for ls in self.per_level), default=0)
+        mat = np.zeros((size, size), dtype=np.int64)
+        for ls in self.per_level:
+            mat[: ls.histogram.size, ls.level] = ls.histogram
         return mat
 
     @property
@@ -199,6 +211,20 @@ class OutcomeStore:
         self.rows += m
 
 
+def _level_size(config: EstimatorConfig, level: int) -> int:
+    """ceil(N * gamma**-level): the rows a level opens with, mlmc-sr's
+    mandatory draw and the mc pilot alike.  Raises ValueError when that
+    is 2**63 rows or more, as ``allocate`` does for its sizes."""
+    try:
+        n = math.ceil(config.N * config.gamma ** -level)
+    except OverflowError:
+        n = math.inf
+    if not n < 2 ** 63:
+        raise ValueError(f"level {level} would need N * gamma**-{level} >= 2**63 rows "
+                         f"(N={config.N}, gamma={config.gamma})")
+    return n
+
+
 def _count_stops(stop: np.ndarray, level: int) -> np.ndarray:
     """How many of the per-row ``stop`` rungs equal each of 0..level.
 
@@ -289,10 +315,11 @@ def run_mlmc_sr(
     serves the rows earlier runs of the same seed refined and records
     the rows this run refines; the record is the same without it.
     Raises ValueError if the store was made for another model, seed, y,
-    gamma or q.
+    gamma or q, or if a level would open with 2**63 rows or more.
     """
     if store is not None:
         store.check(model, seed, config)
+    _level_size(config, 2)  # every run opens levels 0..2: refuse, undrawn, one that cannot
     levels: list[LevelState] = []
     trace: list[tuple[int, float, float]] = []
     sched = config.schedule
@@ -302,7 +329,7 @@ def run_mlmc_sr(
             levels.append(LevelState(
                 L, CorrectorTally(L), histogram=np.zeros(L + 1, dtype=np.int64)
             ))
-            mandatory = math.ceil(config.N * config.gamma ** -L)
+            mandatory = _level_size(config, L)
             _extend_level(model, seed, levels[L], mandatory, config, pool, store)
 
             sizes = optimal_allocation(_allocation_moments(levels, config.k), sched,
@@ -322,15 +349,12 @@ def run_mlmc_sr(
                     converged = True
                     break
 
-    raw = mlmc_combine([ls.tally for ls in levels])
     record = RunRecord(
         config=config,
         seed=seed,
         method="mlmc-sr",
         converged=converged,
-        estimate_raw=raw,
-        estimate_clamped=min(max(raw, 0.0), 1.0),
-        final_L=len(levels) - 1,
+        estimate_raw=mlmc_combine([ls.tally for ls in levels]),
         per_level=levels,
         total_cost=sum(ls.cost for ls in levels),
         termination_trace=trace,
@@ -344,10 +368,21 @@ def run_mlmc_sr(
 # single-level baseline
 # ---------------------------------------------------------------------------
 
-def _full_indicators(model, batch, n, level, y, tol):
-    """Indicators and work of the n rows of ``batch`` solved fully to ``tol``."""
-    v, w = model.solve_batch(batch, np.arange(n, dtype=np.int64), tol, level)
-    return v <= y, w
+def _solve_rows(model, seed, level, y, tolerances, bounds):
+    """Draw rows a..b-1 of a level once and solve them all fully at each
+    of ``tolerances``: one (indicators, works) pair per tolerance.
+
+    Every solve passes tol_index = ``level``, whatever its tolerance.
+    The index picks a model's solver noise (the synthetic model couples
+    a pilot's fine and coarse noise through it on purpose), so an index
+    per tolerance would change the records: seed 4's q=1 run at epsilon
+    0.003 would stop at level 7 instead of 6.
+    """
+    a, b = bounds
+    batch = model.draw_batch(seed, level, a, b)
+    every = np.arange(b - a, dtype=np.int64)
+    solved = (model.solve_batch(batch, every, tol, level) for tol in tolerances)
+    return [(v <= y, w) for v, w in solved]
 
 
 def run_mc_baseline(
@@ -362,122 +397,75 @@ def run_mc_baseline(
     A pilot walks down the ladder until the estimated remaining bias
     fits epsilon/sqrt(2); plain MC then runs at that one level with a
     sample size meeting the variance half of the budget.  Every solve
-    is a full solve at the level tolerance.  The pilot draws in chunks,
-    and a pilot that could not meet the threshold even at ``max_level``
-    fails before it draws anything.  The record's single level
-    entry's tally counts the hits in ``n_plus`` (there are no correctors
-    in this method); the termination trace holds the pilot's (level,
-    bias_bound, threshold) rows.
+    is a full solve; a pilot level L solves each row at gamma**L and at
+    gamma**(L-1), and both solves pass tol_index L, as the main phase's
+    do.  The pilot draws in chunks, and a pilot that could not meet the
+    threshold even at ``max_level`` fails before it draws anything.  The
+    record's single level entry's tally counts the hits in ``n_plus``
+    (there are no correctors in this method); the termination trace
+    holds the pilot's (level, bias_bound, threshold) rows.
 
     A ``store`` keeps each pilot level's sums: a pilot level is the
     same realizations solved at the same tolerances for every epsilon,
     so a later run of the seed reads them instead of drawing and
     solving the level again; the record is the same without it.
     Raises ValueError if the store was made for another model, seed, y,
-    gamma or q.
+    gamma or q, or if a pilot level would need 2**63 rows or more.
     """
     if store is not None:
         store.check(model, seed, config)
-    with _worker_pool(threads) as pool:
-        return _run_mc_baseline(model, config, seed, pool,
-                                {} if store is None else store.pilots)
-
-
-def _pilot_bias_floor(config: EstimatorConfig) -> float:
-    """The least bias bound the mc pilot can reach, at ``max_level``.
-
-    A pilot tally of n rows has a mean bound of at least k / (n + k),
-    and n grows with the level.  The float operations are those of
-    ``corrector_moments`` and ``bias_bound``, so no computed bound at
-    any pilot level falls below this one.
-    """
-    try:
-        n = math.ceil(config.N * config.gamma ** -config.max_level)
-    except OverflowError:  # too many rows to ever draw: no useful floor
-        return 0.0
-    return config.k / (n + config.k) / (1.0 / config.gamma - 1.0)
-
-
-def _run_mc_baseline(model, config, seed, pool, pilots):
-    """The body of ``run_mc_baseline``, with its worker pool open."""
-    sched = config.schedule
+    pilots = {} if store is None else store.pilots
+    sched, chunk = config.schedule, model.batch_chunk
     threshold = config.epsilon / math.sqrt(2.0)
     trace: list[tuple[int, float, float]] = []
-
-    def failure(pilot_cost):
-        return NonConvergenceError(RunRecord(config, seed, "mc", False, math.nan,
-                                             math.nan, config.max_level, [],
-                                             pilot_cost, trace))
-
-    if _pilot_bias_floor(config) >= threshold:
-        raise failure(0.0)
+    # A pilot tally of n rows has a mean bound of at least k / (n + k), by
+    # the float operations of corrector_moments and bias_bound, and n grows
+    # with the level: no pilot level's bias bound falls below max_level's.
+    # A pilot that cannot get under the threshold fails before it draws.
+    try:
+        n_last = _level_size(config, config.max_level)
+        floor = config.k / (n_last + config.k) / (1.0 / config.gamma - 1.0)
+    except ValueError:  # too many rows to ever draw: no useful floor
+        floor = 0.0
+    pilot_levels = range(1, config.max_level + 1) if floor < threshold else ()
 
     pilot_cost = 0.0
-    star = None
-    for L in range(1, config.max_level + 1):
-        n_pilot = math.ceil(config.N * config.gamma ** -L)
-        fine_tol, coarse_tol = sched.tolerance(L), sched.tolerance(L - 1)
+    with _worker_pool(threads) as pool:
+        for L in pilot_levels:
+            n_pilot = _level_size(config, L)
+            if (L, n_pilot) not in pilots:
+                solve = partial(_solve_rows, model, seed, L, config.y,
+                                (sched.tolerance(L), sched.tolerance(L - 1)))
+                sums = [0, 0, 0, 0.0, 0.0]  # n_plus, n_minus, hits, fine and coarse cost
+                for (qf, wf), (qc, wc) in _map_chunks(solve, 0, n_pilot, chunk, pool):
+                    sums = [a + b for a, b in zip(sums, (
+                        int(np.count_nonzero(qf > qc)), int(np.count_nonzero(qf < qc)),
+                        int(np.count_nonzero(qf)), float(wf.sum()), float(wc.sum())))]
+                pilots[L, n_pilot] = tuple(sums)
+            n_plus, n_minus, n_hits, fine_cost, coarse_cost = pilots[L, n_pilot]
+            tally = CorrectorTally(L, n=n_pilot, n_plus=n_plus, n_minus=n_minus)
+            pilot_cost += coarse_cost
+            bias = bias_bound(corrector_moments(tally, config.k), config.gamma)
+            trace.append((L, bias, threshold))
+            if bias < threshold:
+                break
+            pilot_cost += fine_cost
+        else:
+            raise NonConvergenceError(RunRecord(config, seed, "mc", False, math.nan, [],
+                                                pilot_cost, trace))
 
-        def pilot(bounds):
-            a, b = bounds
-            batch = model.draw_batch(seed, L, a, b)
-            qf, wf = _full_indicators(model, batch, b - a, L, config.y, fine_tol)
-            qc, wc = _full_indicators(model, batch, b - a, L, config.y, coarse_tol)
-            return (int(np.count_nonzero(qf > qc)), int(np.count_nonzero(qf < qc)),
-                    int(np.count_nonzero(qf)), float(wf.sum()), float(wc.sum()))
-
-        key = (L, n_pilot)
-        if key not in pilots:
-            sums = [0, 0, 0, 0.0, 0.0]   # n_plus, n_minus, hits, fine and coarse cost
-            for chunk in _map_chunks(pilot, 0, n_pilot, model.batch_chunk, pool):
-                sums = [a + b for a, b in zip(sums, chunk)]
-            pilots[key] = tuple(sums)
-        n_plus, n_minus, n_hits, fine_cost, coarse_cost = pilots[key]
-        tally = CorrectorTally(L, n=n_pilot, n_plus=n_plus, n_minus=n_minus)
-        tally.check()
-        pilot_cost += coarse_cost
-        bias = bias_bound(corrector_moments(tally, config.k), config.gamma)
-        trace.append((L, bias, threshold))
-        if bias < threshold:
-            star = L
-            break
-        pilot_cost += fine_cost
-
-    if star is None:
-        raise failure(pilot_cost)
-
-    p_hat = n_hits / n_pilot
-    s2 = n_pilot / (n_pilot - 1) * p_hat * (1.0 - p_hat) if n_pilot > 1 else 0.0
-    n_mc = max(n_pilot, math.ceil(2.0 * s2 / config.epsilon ** 2))
-
-    hits = CorrectorTally(star, n=n_pilot, n_plus=n_hits)
-    state = LevelState(star, hits, histogram=np.zeros(star + 1, dtype=np.int64))
-    state.cost = fine_cost
-    tol = sched.tolerance(star)
-
-    def work(bounds):
-        a, b = bounds
-        return _full_indicators(model, model.draw_batch(seed, star, a, b), b - a,
-                                star, config.y, tol)
-
-    for q, w in _map_chunks(work, n_pilot, n_mc, model.batch_chunk, pool):
-        hits.n += q.size
-        hits.n_plus += int(np.count_nonzero(q))
-        state.cost += float(w.sum())
+        p_hat = n_hits / n_pilot
+        s2 = n_pilot / (n_pilot - 1) * p_hat * (1.0 - p_hat) if n_pilot > 1 else 0.0
+        n_mc = max(n_pilot, math.ceil(2.0 * s2 / config.epsilon ** 2))
+        hits = CorrectorTally(L, n=n_pilot, n_plus=n_hits)
+        state = LevelState(L, hits, MomentEstimates(L, p_hat, s2),
+                           np.zeros(L + 1, dtype=np.int64), fine_cost)
+        solve = partial(_solve_rows, model, seed, L, config.y, (sched.tolerance(L),))
+        for ((q, w),) in _map_chunks(solve, n_pilot, n_mc, chunk, pool):
+            hits.n += q.size
+            hits.n_plus += int(np.count_nonzero(q))
+            state.cost += float(w.sum())
     hits.check()
-    state.moments = MomentEstimates(star, p_hat, s2)
-    state.histogram[star] = n_mc
-
-    raw = state.tally.n_plus / n_mc
-    return RunRecord(
-        config=config,
-        seed=seed,
-        method="mc",
-        converged=True,
-        estimate_raw=raw,
-        estimate_clamped=min(max(raw, 0.0), 1.0),
-        final_L=star,
-        per_level=[state],
-        total_cost=pilot_cost + state.cost,
-        termination_trace=trace,
-    )
+    state.histogram[L] = n_mc
+    return RunRecord(config, seed, "mc", True, hits.n_plus / n_mc, [state],
+                     pilot_cost + state.cost, trace)

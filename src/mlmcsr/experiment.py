@@ -61,7 +61,7 @@ class ExperimentConfig:
 
     ``reference_p`` supplies the truth for models without a closed-form
     probability (the elliptic demonstrator uses a brute-force pilot
-    value here, stored with its own standard error for honesty).
+    value here).
     """
 
     model_name: str
@@ -79,7 +79,6 @@ class ExperimentConfig:
     threads: int = 1
     max_level: int = 30
     reference_p: float | None = None
-    reference_stderr: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.model_name, str):
@@ -91,10 +90,11 @@ class ExperimentConfig:
         if not all(is_finite_real(e) and e > 0.0 for e in self.epsilons):
             raise ConfigError(f"epsilons must be finite and positive, got {self.epsilons}")
         self.epsilons = [float(e) for e in self.epsilons]
-        for name in ("reference_p", "reference_stderr"):
-            value = getattr(self, name)
-            if value is not None and not is_finite_real(value):
-                raise ConfigError(f"{name} must be finite and a real number, got {value!r}")
+        if self.reference_p is not None and not is_finite_real(self.reference_p):
+            raise ConfigError(f"reference_p must be finite and a real number, "
+                              f"got {self.reference_p!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string or null, got {self.output_dir!r}")
         for name in ("runs", "seed", "threads"):
             value = getattr(self, name)
             if not is_integer(value):
@@ -200,6 +200,12 @@ class ExperimentReport:
 
 
 def _run_row(record: RunRecord, run_id: int, reference: float) -> RunRow:
+    """The record's CSV row; ``n_per_level`` has one count per level
+    0..final_L, zero for a level the run has no entry for (below an mc
+    run's one level)."""
+    n_per_level = [0] * (record.final_L + 1)
+    for ls in record.per_level:
+        n_per_level[ls.level] = ls.n_drawn
     return RunRow(
         run_id=run_id,
         epsilon=record.config.epsilon,
@@ -209,7 +215,7 @@ def _run_row(record: RunRecord, run_id: int, reference: float) -> RunRow:
         abs_error=abs(record.estimate_raw - reference),
         total_cost=record.total_cost,
         final_L=record.final_L,
-        n_per_level=list(record.n_drawn),
+        n_per_level=n_per_level,
     )
 
 

@@ -152,6 +152,18 @@ def test_epsilon_too_small_to_square_is_config_error(tmp_path, capsys, epsilons)
         assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [{"gamma": 1e-300}, {"N": 10 ** 30}])
+def test_uncountable_level_size_is_config_error(tmp_path, capsys, fields):
+    # a level of 2**63 rows or more is refused before any row is drawn,
+    # instead of chunking the range into a list without end
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"name": "synthetic-normal"}, "y": 0.8,
+                                "epsilons": [0.1], "runs": 1, **fields}))
+    for method in ("mlmc-sr", "mc"):
+        assert main(["estimate", "--config", str(path), "--method", method]) == 2
+        assert "2**63 rows" in capsys.readouterr().err
+
+
 def test_mc_pilot_that_cannot_converge_exits_before_drawing(tmp_path, capsys):
     # at epsilon 1e-12 even the level-30 pilot of 10 * 2**30 rows keeps a
     # bias bound near 1e-10, so the run must fail at once, not draw them

@@ -510,6 +510,38 @@ def test_mc_baseline_nonconvergence():
     assert len(rec.termination_trace) == 2
 
 
+class NeverDrawnModel(ConstantModel):
+    """Fails the test on any draw."""
+
+    def draw_batch(self, seed, level, lo, hi):
+        raise AssertionError(f"drew rows [{lo}, {hi}) of level {level}")
+
+
+@pytest.mark.parametrize("runner", [run_mlmc_sr, run_mc_baseline])
+@pytest.mark.parametrize("fields", [dict(gamma=1e-300), dict(N=10 ** 30)])
+def test_uncountable_level_size_raises_before_drawing(runner, fields):
+    # level 1 would need N * gamma**-1 >= 2**63 rows; mlmc-sr's level 0
+    # is small at gamma=1e-300, but every run needs levels 0..2
+    cfg = EstimatorConfig(y=Y, epsilon=0.1, **fields)
+    with pytest.raises(ValueError, match=r"2\*\*63 rows"):
+        runner(NeverDrawnModel(-3.0), cfg, seed=0)
+
+
+def test_level_size_stops_short_of_2_to_the_63_rows():
+    cfg = EstimatorConfig(y=Y, epsilon=0.1, N=2 ** 61)
+    assert driver._level_size(cfg, 1) == 2 ** 62
+    with pytest.raises(ValueError, match="level 2"):
+        driver._level_size(cfg, 2)
+
+
+@pytest.mark.parametrize("runner", [run_mlmc_sr, run_mc_baseline])
+def test_uncountable_max_level_alone_is_no_refusal(runner):
+    # level 100 would need 10 * 2**100 rows, but the run stops long before
+    model, seed = SyntheticNormalModel(q=1.0), 0
+    deep = runner(model, EstimatorConfig(y=Y, epsilon=0.1, max_level=100), seed)
+    record_pairs_equal(deep, runner(model, EstimatorConfig(y=Y, epsilon=0.1), seed))
+
+
 # ---------------------------------------------------------------------------
 # baseline sizing, accuracy, and cost rate
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_config_keeps_epsilons_as_a_list_of_floats():
     (dict(y=float("nan")), "y must be finite"),
     (dict(k=float("inf")), "k must be finite"),
     (dict(reference_p=float("nan")), "reference_p"),
-    (dict(reference_stderr=float("inf")), "reference_stderr"),
+    (dict(output_dir=5), "output_dir"),
     (dict(runs=2.5), "runs must be an integer"),
     (dict(seed=1.5), "seed must be an integer"),
     (dict(threads=1.5), "threads must be an integer"),
@@ -353,7 +353,7 @@ def test_first_failing_seed_raises_and_writes_no_file(monkeypatch, tmp_path):
     def run(model, config, seed, **kwargs):
         if seed in failing:
             raise NonConvergenceError(RunRecord(config, seed, "mlmc-sr", False, math.nan,
-                                                math.nan, 0, [], 0.0, []))
+                                                [], 0.0, []))
         return real(model, config, seed, **kwargs)
 
     monkeypatch.setattr(experiment, "run_mlmc_sr", run)
@@ -413,13 +413,25 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
 
 
 def test_runs_csv_pads_shorter_runs(tmp_path):
-    cfg = small_config(epsilons=[0.05], runs=8, output_dir=str(tmp_path))
-    report = run_experiment(cfg)
-    assert len({r.final_L for r in report.rows}) > 1  # rows of unequal width
-    parsed = read_runs_csv(tmp_path / "runs.csv")
-    assert parsed == report.rows
-    for row in parsed:
-        assert len(row.n_per_level) == row.final_L + 1
+    for method in ("mlmc-sr", "mc"):
+        out = tmp_path / method
+        cfg = small_config(epsilons=[0.05], runs=8, method=method, output_dir=str(out))
+        report = run_experiment(cfg)
+        assert len({r.final_L for r in report.rows}) > 1  # rows of unequal width
+        parsed = read_runs_csv(out / "runs.csv")
+        assert parsed == report.rows
+        for row in parsed:
+            assert len(row.n_per_level) == row.final_L + 1
+        lines = (out / "runs.csv").read_text().splitlines()[1:]
+        assert len({len(line.split(",")) for line in lines}) == 1  # no ragged line
+    # an mc run's n sits under its own level, with zeros below, and its
+    # stop counts sit in its own level's histogram column
+    hist = report.histograms[0]
+    for row in report.rows:
+        assert row.n_per_level == [0] * row.final_L + [row.n_per_level[-1]]
+    for level in range(hist.shape[1]):
+        stopped = [r.n_per_level[-1] for r in report.rows if r.final_L == level]
+        assert hist[:, level].sum() == sum(stopped) / len(report.rows)
 
 
 def test_schema_line_is_enforced(tmp_path):
