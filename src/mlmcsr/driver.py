@@ -225,6 +225,20 @@ def _level_size(config: EstimatorConfig, level: int) -> int:
     return n
 
 
+def _deepest_countable_level(config: EstimatorConfig) -> int:
+    """The deepest level up to max_level that ``_level_size`` counts, or -1
+    if none: a bisection, since the size grows with the level."""
+    lo, hi = -1, config.max_level + 1   # lo counts (or is -1), hi does not (or is past)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _level_size(config, mid)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
 def _count_stops(stop: np.ndarray, level: int) -> np.ndarray:
     """How many of the per-row ``stop`` rungs equal each of 0..level.
 
@@ -400,10 +414,11 @@ def run_mc_baseline(
     is a full solve; a pilot level L solves each row at gamma**L and at
     gamma**(L-1), and both solves pass tol_index L, as the main phase's
     do.  The pilot draws in chunks, and a pilot that could not meet the
-    threshold even at ``max_level`` fails before it draws anything.  The
-    record's single level entry's tally counts the hits in ``n_plus``
-    (there are no correctors in this method); the termination trace
-    holds the pilot's (level, bias_bound, threshold) rows.
+    threshold even at ``max_level`` (or at the deepest level short of
+    2**63 rows) fails before it draws anything.  The record's single
+    level entry's tally counts the hits in ``n_plus`` (there are no
+    correctors in this method); the termination trace holds the
+    pilot's (level, bias_bound, threshold) rows.
 
     A ``store`` keeps each pilot level's sums: a pilot level is the
     same realizations solved at the same tolerances for every epsilon,
@@ -420,13 +435,13 @@ def run_mc_baseline(
     trace: list[tuple[int, float, float]] = []
     # A pilot tally of n rows has a mean bound of at least k / (n + k), by
     # the float operations of corrector_moments and bias_bound, and n grows
-    # with the level: no pilot level's bias bound falls below max_level's.
-    # A pilot that cannot get under the threshold fails before it draws.
-    try:
-        n_last = _level_size(config, config.max_level)
-        floor = config.k / (n_last + config.k) / (1.0 / config.gamma - 1.0)
-    except ValueError:  # too many rows to ever draw: no useful floor
-        floor = 0.0
+    # with the level: no pilot level's bias bound falls below that of the
+    # deepest level the pilot can count, for _level_size refuses any level
+    # past it.  A pilot that cannot get under the threshold fails before it
+    # draws.
+    last = _deepest_countable_level(config)
+    n_last = _level_size(config, last) if last >= 1 else math.inf  # inf: no floor
+    floor = config.k / (n_last + config.k) / (1.0 / config.gamma - 1.0)
     pilot_levels = range(1, config.max_level + 1) if floor < threshold else ()
 
     pilot_cost = 0.0

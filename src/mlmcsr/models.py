@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .estimators import is_finite_real, is_integer
-from .streams import derive_key, normal_at, uniform_at
+from .streams import derive_key, normal_at, offset_key, uniform_at
 
 __all__ = [
     "ModelInitError",
@@ -84,7 +84,7 @@ class SyntheticNormalModel:
     """
 
     name = "synthetic-normal"
-    batch_chunk = 1 << 14
+    batch_chunk = 1 << 15
 
     def __init__(
         self,
@@ -124,7 +124,8 @@ class SyntheticNormalModel:
         self, batch: _SyntheticBatch, sel: np.ndarray, tolerance: float, tol_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
         # sel is strictly increasing, so a full-length sel is every row
-        rows = slice(None) if len(sel) == batch.indices.size else sel
+        every = len(sel) == batch.indices.size
+        rows = slice(None) if every else sel
         if self.uniform_source is not None:
             u = np.array(
                 [
@@ -135,7 +136,10 @@ class SyntheticNormalModel:
             )
         else:
             key = derive_key(batch.seed, batch.level, tol_index + 1)
-            u = uniform_at(key, batch.indices[rows])
+            # row s's counter is lo + s, so a partial sel, folded into the
+            # key as lo, needs no gather of indices
+            u = (uniform_at(key, batch.indices) if every
+                 else uniform_at(offset_key(key, batch.lo), sel))
         # omega + tolerance * (2u - 1 + b) / (1 + b), in place, in that order
         u *= 2.0
         u -= 1.0

@@ -152,10 +152,14 @@ def _refine(
         if t == level and level:
             sign[active] = (v <= y).view(np.int8) - (value[active] <= y).view(np.int8)
         value[active] = v
-        cost[active] += w
+        w += cost[active]
+        cost[active] = w
         if t:
             stop[active] = t
-        active = active[np.abs(v - y) < tolerances[t + 1 - first]]
+        if t == level:   # the last rung: no next active set to build
+            break
+        np.subtract(v, y, out=v)
+        active = active[np.abs(v, out=v) < tolerances[t + 1 - first]]
     if level == 0:
         sign = (value <= y).view(np.int8)
     return value, cost, stop, sign

@@ -42,7 +42,7 @@ import numpy as np
 # glibc's malloc maps every block of 128 KiB or more afresh, and unmaps it
 # on free, until one such block has been freed: then it raises that limit
 # to the freed block's size.  A synthetic chunk's float64 arrays are exactly
-# 128 KiB, so until then each one costs 32 page faults, tens of thousands
+# 256 KiB, so until then each one costs 64 page faults, tens of thousands
 # per run.  Importing scipy.special used to free large blocks as a side
 # effect; one 4 MiB block, allocated and freed here, does it on purpose.
 _block = np.empty(4 << 20, dtype=np.uint8)
@@ -117,10 +117,19 @@ def derive_key(seed: int, *salts: int) -> int:
     return mix64((key + (operator.index(salts[-1]) + 1) * _GOLDEN) & _MASK)
 
 
+def offset_key(key: int, offset: int) -> int:
+    """The key under which counter c gives the word of counter offset + c
+    under ``key``: (offset + c + 1) * GOLDEN + key is (c + 1) * GOLDEN +
+    (key + offset * GOLDEN) modulo 2**64."""
+    return (key + operator.index(offset) * _GOLDEN) & _MASK
+
+
 def _counter_words(key: int, counters: np.ndarray, scratch: np.ndarray,
                    z: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 outputs at ``counters`` in ``z`` (a fresh array if None);
     ``scratch`` is a uint64 array of the same shape that the shifts write into."""
+    if counters.dtype == np.int64:   # as np.nonzero gives: the cast's bits, uncopied
+        counters = counters.view(np.uint64)
     # (c + 1) * GOLDEN + key == c * GOLDEN + (GOLDEN + key) modulo 2**64
     z = np.multiply(np.asarray(counters, dtype=np.uint64), _N_GOLDEN, out=z)
     z += np.array((key + _GOLDEN) & _MASK, dtype=np.uint64)

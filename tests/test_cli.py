@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,24 @@ def test_uncountable_level_size_is_config_error(tmp_path, capsys, fields):
     for method in ("mlmc-sr", "mc"):
         assert main(["estimate", "--config", str(path), "--method", method]) == 2
         assert "2**63 rows" in capsys.readouterr().err
+
+
+def test_mc_pilot_past_the_countable_levels_exits_before_drawing(tmp_path, capsys,
+                                                                monkeypatch):
+    # level 100 would need 10 * 2**100 rows; the deepest level short of
+    # 2**63 rows (10 * 2**59) still keeps a bias bound near 2e-19, above
+    # epsilon / sqrt(2) = 7e-21, so the pilot must fail before any draw
+    def no_draw(self, seed, level, lo, hi):
+        raise AssertionError(f"drew rows [{lo}, {hi}) of level {level}")
+
+    monkeypatch.setattr(SyntheticNormalModel, "draw_batch", no_draw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"name": "synthetic-normal"}, "y": 0.8,
+                                "epsilons": [1e-20], "runs": 1, "max_level": 100}))
+    start = time.perf_counter()
+    assert main(["estimate", "--config", str(path), "--method", "mc"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "no convergence" in capsys.readouterr().err
 
 
 def test_mc_pilot_that_cannot_converge_exits_before_drawing(tmp_path, capsys):

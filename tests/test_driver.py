@@ -1,5 +1,6 @@
 """Run orchestration: determinism, record invariants, baseline behaviour."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,6 +112,32 @@ def test_thread_count_does_not_change_elliptic_mlmc_sr():
     two = run_mlmc_sr(model, cfg, seed=6, threads=2)
     assert one.per_level[0].n_drawn > model.batch_chunk
     record_pairs_equal(one, two)
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5])
+def test_records_do_not_depend_on_the_synthetic_chunk_size(q):
+    # chunk cuts move only where each per-chunk cost sum ends: at q=2 every
+    # row's work is an integer (4**t), so the sums are exact at any cut; at
+    # q=1.5 only the cost ledger's last bits may follow the cuts
+    cfg = EstimatorConfig(y=Y, epsilon=0.008, q=q)
+    runs = []
+    for chunk in (1 << 14, 1 << 15, 7):
+        model = SyntheticNormalModel(q=q)
+        model.batch_chunk = chunk
+        runs.append(run_mlmc_sr(model, cfg, seed=3))
+    first = runs[0]
+    assert first.per_level[0].n_drawn > 1 << 15
+    for other in runs[1:]:
+        if q == 2.0:
+            records_equal(first, other)
+            continue
+        assert other.total_cost == pytest.approx(first.total_cost, rel=1e-12)
+        for la, lb in zip(first.per_level, other.per_level):
+            assert lb.cost == pytest.approx(la.cost, rel=1e-12)
+        records_equal(first, dataclasses.replace(
+            other, total_cost=first.total_cost,
+            per_level=[dataclasses.replace(lb, cost=la.cost)
+                       for la, lb in zip(first.per_level, other.per_level)]))
 
 
 def test_different_seeds_differ():

@@ -344,16 +344,24 @@ def test_elliptic_work_units_is_master_bound(elliptic):
 
 @pytest.mark.parametrize("model", [SyntheticNormalModel(q=1.5), EllipticFlux1D(master_cells=64)])
 def test_all_rows_solve_equals_solves_of_halves(model):
-    # a full-length sel reads the rows directly; two halves gather them
+    # a full-length sel reads the rows directly; partial sels pick theirs
     n = 37
-    batch = model.draw_batch(4, 3, 100, 100 + n)
-    for tol, j in ((1.0, 0), (0.125, 3)):
-        full = model.solve_batch(batch, np.arange(n), tol, j)
-        halves = [model.solve_batch(batch, np.arange(a, b), tol, j)
-                  for a, b in ((0, n // 2), (n // 2, n))]
-        for k in range(2):
-            joined = np.concatenate([h[k] for h in halves])
-            assert full[k].tobytes() == joined.tobytes()
+    starts = [100]
+    if isinstance(model, SyntheticNormalModel):
+        # its partial sels fold lo into the stream key as lo * GOLDEN, which
+        # wraps modulo 2**64 here (the elliptic counters lo * m would overflow)
+        starts.append(2 ** 62 + 3)
+    for lo in starts:
+        batch = model.draw_batch(4, 3, lo, lo + n)
+        for tol, j in ((1.0, 0), (0.125, 3)):
+            full = model.solve_batch(batch, np.arange(n), tol, j)
+            halves = [model.solve_batch(batch, np.arange(a, b), tol, j)
+                      for a, b in ((0, n // 2), (n // 2, n))]
+            third = model.solve_batch(batch, np.arange(0, n, 3), tol, j)
+            for k in range(2):
+                joined = np.concatenate([h[k] for h in halves])
+                assert full[k].tobytes() == joined.tobytes()
+                assert full[k][::3].tobytes() == third[k].tobytes()
 
 
 def test_build_model_registry():
