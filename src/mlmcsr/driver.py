@@ -13,6 +13,13 @@ three choices: counter-based streams addressed by absolute sample
 index, extension work split into fixed-size chunks whose boundaries
 depend only on the extension range, and chunk results folded in range
 order no matter which worker finished first.
+
+The runs of one seed can share an ``OutcomeStore``, which keeps each
+refined row's outcome as a small int code and a cost.  A later run folds
+the chunks the store covers, one ``np.bincount`` of codes each, and
+refines only the rest, so an extension the store covers in full makes
+no kernel call.  The level loop recomputes a level's moments only when
+its tally grows.
 """
 
 from __future__ import annotations
@@ -147,7 +154,7 @@ def _map_chunks(fn, lo: int, hi: int, chunk: int, pool: ThreadPoolExecutor | Non
     return pool.map(fn, ranges) if pool is not None else map(fn, ranges)
 
 
-# An OutcomeStore records at most STORE_ROWS rows (about 10 bytes each).
+# An OutcomeStore records at most STORE_ROWS rows (9 bytes each up to level 84).
 STORE_ROWS = 1 << 20
 
 
@@ -156,20 +163,22 @@ class OutcomeStore:
 
     Realization (seed, level, index) is drawn and refined to the same
     bits by every run with the same model, y, gamma and q, whatever its
-    epsilon.  A store records, per level, the (sign, stop, cost) outcome
-    of each refined row for indices 0..n-1 in one array per column,
-    grown by doubling, and ``run_mlmc_sr`` folds any chunk the store
-    covers in full from those arrays instead of drawing and refining
-    it.  The counts and the per-chunk cost sums are the same numbers, so
-    records are bit-identical with or without a store.  At most
-    STORE_ROWS rows are recorded; rows past that are refined and not
-    recorded.  ``pilots`` keeps the sums of each mc pilot level, keyed
-    (level, pilot size), for ``run_mc_baseline``.
+    epsilon.  A store records, per level, the outcome of each refined
+    row for indices 0..n-1 in two arrays grown by doubling: its row code
+    3 * stop + sign + 1 (see ``_row_codes``) and its cost.  A run's
+    extension the store covers in full is folded from views of those
+    arrays, chunk by chunk, with no kernel call; ``run_mlmc_sr`` folds
+    any chunk the store covers from them and refines the rest.  The
+    counts and the per-chunk cost sums are the same numbers, so records
+    are bit-identical with or without a store.  At most STORE_ROWS rows
+    are recorded; rows past that are refined and not recorded.
+    ``pilots`` keeps the sums of each mc pilot level, keyed (level,
+    pilot size), for ``run_mc_baseline``.
     """
 
     def __init__(self, model: ModelContract, seed: int, config: EstimatorConfig):
         self._key = (model, seed, config.y, config.gamma, config.q)
-        self._columns: dict[int, tuple[np.ndarray, ...]] = {}
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._covered: dict[int, int] = {}
         self.rows = 0
         self.pilots: dict[tuple[int, int], tuple] = {}
@@ -185,27 +194,33 @@ class OutcomeStore:
         """How many rows of ``level``, from index 0, the store holds."""
         return self._covered.get(level, 0)
 
-    def take(self, level: int, a: int, b: int) -> tuple[np.ndarray, ...]:
-        """Views of (sign, stop, cost) of rows a..b-1 of a level; 0 <= a < b <= covered."""
-        return tuple(column[a:b] for column in self._columns[level])
+    @property
+    def full(self) -> bool:
+        """True once the store holds STORE_ROWS rows and records no more."""
+        return self.rows >= STORE_ROWS
 
-    def record(self, level: int, a: int, outcomes: tuple[np.ndarray, ...]) -> None:
-        """Record the (sign, stop, cost) rows a, a+1, ... of a level past
-        those it holds, while the STORE_ROWS budget lasts; none when a is
-        past them, because the store holds a prefix of each level."""
+    def take(self, level: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the (code, cost) of rows a..b-1 of a level; 0 <= a < b <= covered."""
+        code, cost = self._columns[level]
+        return code[a:b], cost[a:b]
+
+    def record(self, level: int, a: int, code: np.ndarray, cost: np.ndarray) -> None:
+        """Record the (code, cost) rows a, a+1, ... of a level past those
+        it holds, while the STORE_ROWS budget lasts; none when a is past
+        them, because the store holds a prefix of each level."""
         n = self.covered(level)
         start, room = n - a, STORE_ROWS - self.rows
-        m = min(len(outcomes[0]) - start, room)
+        m = min(code.size - start, room)
         if start < 0 or m <= 0:
             return
         columns = self._columns.get(level)
         if columns is None or columns[0].size < n + m:
             size = min(max(2 * n, n + m), n + room)
-            grown = tuple(np.empty(size, src.dtype) for src in outcomes)
+            grown = (np.empty(size, code.dtype), np.empty(size, cost.dtype))
             for dst, old in zip(grown, columns or ()):
                 dst[:n] = old[:n]
             self._columns[level] = columns = grown
-        for dst, src in zip(columns, outcomes):
+        for dst, src in zip(columns, (code, cost)):
             dst[n:n + m] = src[start:start + m]
         self._covered[level] = n + m
         self.rows += m
@@ -239,12 +254,22 @@ def _deepest_countable_level(config: EstimatorConfig) -> int:
     return lo
 
 
+def _row_codes(sign: np.ndarray, stop: np.ndarray, level: int) -> np.ndarray:
+    """Each row's outcome as one small int, 3 * stop + sign + 1, in the
+    smallest unsigned dtype that holds 3 * level + 2: one byte up to
+    level 84, two up to level 21844."""
+    code = np.multiply(stop, 3, dtype=np.min_scalar_type(3 * level + 2))
+    code += 1
+    np.add(code, sign, out=code, casting="unsafe")  # never below 0
+    return code
+
+
 def _count_stops(stop: np.ndarray, level: int) -> np.ndarray:
     """How many of the per-row ``stop`` rungs equal each of 0..level.
 
     Counts the rows at or past each rung, with no pass once none is
-    left; on a chunk of small ints that is several times faster than
-    ``np.bincount``, which first casts the whole array to intp.
+    left; on a full chunk of small ints that is several times faster
+    than ``np.bincount``, which first casts the whole array to intp.
     """
     past = [stop.size]
     for t in range(1, level + 1):
@@ -253,14 +278,36 @@ def _count_stops(stop: np.ndarray, level: int) -> np.ndarray:
     return np.array([a - b for a, b in zip(past, past[1:])], dtype=np.int64)
 
 
-def _fold(state: LevelState, sign: np.ndarray, stop: np.ndarray, cost: np.ndarray) -> None:
-    """Add one chunk's per-row outcomes to a level's tally, histogram and cost."""
+# A refined chunk of fewer rows than this folds by row code with one
+# np.bincount (``_fold``); a larger one counts the rows past each rung
+# (``_fold_rungs``), because bincount first casts every code to intp: on
+# a 32k-row chunk that took about 80 us against 15-50 us (2-core Xeon).
+# Rows served from a store always fold by code.
+_BINCOUNT_ROWS = 4096
+
+
+def _fold(state: LevelState, code: np.ndarray, cost: np.ndarray) -> None:
+    """Add one chunk's row codes and costs to a level's tally, histogram
+    and cost, counting the codes with one ``np.bincount``."""
+    counts = np.bincount(code, minlength=3 * state.level + 3).tolist()
+    minus, zero, plus = counts[0::3], counts[1::3], counts[2::3]
+    tally = state.tally
+    tally.n += code.size
+    tally.n_plus += sum(plus)
+    tally.n_minus += sum(minus)
+    state.histogram += [a + b + c for a, b, c in zip(minus, zero, plus)]
+    state.cost += float(cost.sum())  # the coarse solves are in it
+
+
+def _fold_rungs(state: LevelState, sign: np.ndarray, stop: np.ndarray,
+                cost: np.ndarray) -> None:
+    """``_fold`` for a large chunk: the same sums from its sign and stop."""
     tally = state.tally
     tally.n += sign.size
     tally.n_plus += int(np.count_nonzero(sign > 0))
     tally.n_minus += int(np.count_nonzero(sign < 0))
     state.histogram += _count_stops(stop, state.level)
-    state.cost += float(cost.sum())  # the coarse solves are in it
+    state.cost += float(cost.sum())
 
 
 def _extend_level(
@@ -274,45 +321,46 @@ def _extend_level(
 ) -> None:
     """Draw and refine samples [n_drawn, target) of one level, in chunks.
 
-    Chunks that ``store`` covers in full are folded from it; the others
-    are refined, and their rows are recorded in it.
+    Chunks that ``store`` covers in full are folded from it; an
+    extension it covers in full returns there, with no kernel call.  The
+    other chunks are refined, and their rows are recorded in it.
     """
     lo, hi = state.n_drawn, target
     if hi <= lo:
         return
-    level, sched, chunk = state.level, config.schedule, model.batch_chunk
+    level, chunk = state.level, model.batch_chunk
     served = lo
     if store is not None:
         covered = store.covered(level)
         served = hi if hi <= covered else max(lo, lo + (covered - lo) // chunk * chunk)
         for a in range(lo, served, chunk):
             _fold(state, *store.take(level, a, min(a + chunk, served)))
+        if served == hi:
+            return
 
     def work(bounds):
         a, b = bounds
-        return sample_corrector_batch(model, seed, level, a, b, config.y, sched)
+        return sample_corrector_batch(model, seed, level, a, b, config.y, config.schedule)
 
+    keep = store is not None and not store.full
     for batch in _map_chunks(work, served, hi, chunk, pool):
-        outcomes = (batch.sign, batch.stop, batch.cost_fine)
-        _fold(state, *outcomes)
-        if store is not None:
-            store.record(level, batch.lo, outcomes)
+        sign, stop, cost = batch.sign, batch.stop, batch.cost_fine
+        small = sign.size < _BINCOUNT_ROWS
+        code = _row_codes(sign, stop, level) if small or keep else None
+        if small:
+            _fold(state, code, cost)
+        else:
+            _fold_rungs(state, sign, stop, cost)
+        if keep:
+            store.record(level, batch.lo, code, cost)
     state.tally.check()
 
 
-def _moments(levels: list[LevelState], k: float) -> list[MomentEstimates]:
-    out = [level0_moments(levels[0].tally)]
-    out.extend(corrector_moments(ls.tally, k) for ls in levels[1:])
-    return out
-
-
-def _allocation_moments(levels: list[LevelState], k: float) -> list[MomentEstimates]:
-    """Moments for the allocation: level 0 gets the never-zero variance."""
-    out = _moments(levels, k)
-    out[0] = MomentEstimates(
-        0, out[0].mean_bound, level0_allocation_variance(levels[0].tally, k)
-    )
-    return out
+def _level_moments(state: LevelState, k: float) -> MomentEstimates:
+    """A level's moment bounds for its tally as it stands."""
+    if state.level == 0:
+        return level0_moments(state.tally)
+    return corrector_moments(state.tally, k)
 
 
 def run_mlmc_sr(
@@ -336,28 +384,33 @@ def run_mlmc_sr(
     _level_size(config, 2)  # every run opens levels 0..2: refuse, undrawn, one that cannot
     levels: list[LevelState] = []
     trace: list[tuple[int, float, float]] = []
-    sched = config.schedule
+    sched, k = config.schedule, config.k
+    alloc0 = None  # level 0's allocation moments; None once its tally grows
     converged = False
     with _worker_pool(threads) as pool:
         for L in range(config.max_level + 1):
-            levels.append(LevelState(
-                L, CorrectorTally(L), histogram=np.zeros(L + 1, dtype=np.int64)
-            ))
-            mandatory = _level_size(config, L)
-            _extend_level(model, seed, levels[L], mandatory, config, pool, store)
+            state = LevelState(L, CorrectorTally(L), histogram=np.zeros(L + 1, dtype=np.int64))
+            levels.append(state)
+            _extend_level(model, seed, state, _level_size(config, L), config, pool, store)
+            state.moments = _level_moments(state, k)
 
-            sizes = optimal_allocation(_allocation_moments(levels, config.k), sched,
-                                       config.epsilon)
-            for ls, n in zip(levels, sizes):
-                _extend_level(model, seed, ls, int(n), config, pool, store)
-
-            moments = _moments(levels, config.k)
-            for ls, m in zip(levels, moments):
-                ls.moments = m
+            # a level's moments change only with its tally: each iteration
+            # recomputes those of the new level and of the levels it extends
+            if alloc0 is None:
+                alloc0 = MomentEstimates(0, levels[0].moments.mean_bound,
+                                         level0_allocation_variance(levels[0].tally, k))
+            sizes = optimal_allocation([alloc0, *(ls.moments for ls in levels[1:])],
+                                       sched, config.epsilon)
+            for ls, n in zip(levels, sizes.tolist()):
+                if n > ls.n_drawn:
+                    _extend_level(model, seed, ls, n, config, pool, store)
+                    ls.moments = _level_moments(ls, k)
+                    if ls.level == 0:
+                        alloc0 = None
 
             if L >= 2:
                 accepted, lhs, rhs = termination_check(
-                    moments[L - 1], moments[L], sched, config.epsilon)
+                    levels[L - 1].moments, state.moments, sched, config.epsilon)
                 trace.append((L, lhs, rhs))
                 if accepted:
                     converged = True

@@ -17,7 +17,6 @@ when counts are small.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -245,7 +244,18 @@ def level0_allocation_variance(tally: CorrectorTally, k: float) -> float:
     return max(level0_moments(tally).var_bound, smoothed)
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
+def _cost_ladder(levels: int, schedule: LevelSchedule) -> list[float]:
+    """``cost_per_sample`` of levels 0..levels-1 as Python floats, each
+    sum folded left to right from the one below it, so every entry has
+    the bits of its own sum."""
+    r = schedule.gamma ** (1.0 - schedule.q)
+    ladder, total = [], 0.0
+    for j in range(levels):
+        total += r ** j
+        ladder.append(float(total))
+    return ladder
+
+
 def cost_per_sample(level: int, schedule: LevelSchedule) -> float:
     """Expected work of one level-l corrector sample.
 
@@ -254,12 +264,10 @@ def cost_per_sample(level: int, schedule: LevelSchedule) -> float:
     so its solves are already paid for.  It pays for the whole
     refinement ladder weighted by the shrinking fraction of
     realizations that reach each rung: sum_{j=0..l} gamma**((1-q) j).
-    Memoized per (level, schedule).
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    r = schedule.gamma ** (1.0 - schedule.q)
-    return float(sum(r ** j for j in range(level + 1)))
+    return _cost_ladder(level + 1, schedule)[-1]
 
 
 def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float) -> np.ndarray:
@@ -276,11 +284,16 @@ def allocate(variances: Sequence[float], costs: Sequence[float], epsilon: float)
     c = np.asarray(costs, dtype=np.float64)
     if v.shape != c.shape or v.ndim != 1 or v.size == 0:
         raise ValueError("variances and costs must be equal-length 1-D sequences")
+    return _allocate(v.tolist(), c.tolist(), epsilon)
+
+
+def _allocate(v: list[float], c: list[float], epsilon: float) -> np.ndarray:
+    """``allocate`` on two equal-length, nonempty lists of floats."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    v, c = v.tolist(), c.tolist()
     if any(vl < 0.0 or cl <= 0.0 for vl, cl in zip(v, c)):
         raise ValueError("variances must be >= 0 and costs > 0")
+    # pairwise, as numpy sums: past eight levels its order is not left to right
     total = float(np.add.reduce(np.array([math.sqrt(vl * cl) for vl, cl in zip(v, c)])))
     if total == 0.0:
         return np.ones(len(v), dtype=np.int64)
@@ -299,15 +312,15 @@ def optimal_allocation(
     schedule: LevelSchedule,
     epsilon: float,
 ) -> np.ndarray:
-    """Sample sizes from per-level moment bounds and the schedule's cost model."""
+    """Sample sizes from per-level moment bounds and the schedule's cost
+    model, whose ladder of level costs is built once per call."""
     if not moments:
         raise ValueError("need moment estimates for at least one level")
     levels = [m.level for m in moments]
     if levels != list(range(len(moments))):
         raise ValueError(f"moments must cover levels 0..L contiguously, got {levels}")
-    variances = [m.var_bound for m in moments]
-    costs = [cost_per_sample(l, schedule) for l in levels]
-    return allocate(variances, costs, epsilon)
+    variances = [float(m.var_bound) for m in moments]
+    return _allocate(variances, _cost_ladder(len(moments), schedule), epsilon)
 
 
 def mlmc_combine(tallies: Sequence[CorrectorTally]) -> float:

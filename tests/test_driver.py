@@ -5,10 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlmcsr import driver
 from mlmcsr.driver import NonConvergenceError, OutcomeStore, run_mc_baseline, run_mlmc_sr
-from mlmcsr.estimators import EstimatorConfig, mlmc_combine
+from mlmcsr.estimators import (
+    CorrectorTally,
+    EstimatorConfig,
+    MomentEstimates,
+    corrector_moments,
+    level0_allocation_variance,
+    level0_moments,
+    mlmc_combine,
+    optimal_allocation,
+    termination_check,
+)
 from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel, standard_normal_cdf
 from mlmcsr.refinement import sample_corrector_batch
 
@@ -210,6 +221,54 @@ def test_constant_model_mc_baseline_is_exact():
 # record invariants on a real model
 # ---------------------------------------------------------------------------
 
+def reference_level_loop(model, config, seed):
+    """The level loop with every level's moments recomputed for each
+    allocation and after it: (levels, termination trace)."""
+    levels, trace, k = [], [], config.k
+
+    def moments():
+        return ([level0_moments(levels[0].tally)]
+                + [corrector_moments(ls.tally, k) for ls in levels[1:]])
+
+    for L in range(config.max_level + 1):
+        levels.append(driver.LevelState(L, CorrectorTally(L),
+                                        histogram=np.zeros(L + 1, dtype=np.int64)))
+        driver._extend_level(model, seed, levels[L], driver._level_size(config, L),
+                             config, None)
+        alloc = moments()
+        alloc[0] = MomentEstimates(0, alloc[0].mean_bound,
+                                   level0_allocation_variance(levels[0].tally, k))
+        for ls, n in zip(levels, optimal_allocation(alloc, config.schedule, config.epsilon)):
+            driver._extend_level(model, seed, ls, int(n), config, None)
+        for ls, m in zip(levels, moments()):
+            ls.moments = m
+        if L >= 2:
+            accepted, lhs, rhs = termination_check(
+                levels[L - 1].moments, levels[L].moments, config.schedule, config.epsilon)
+            trace.append((L, lhs, rhs))
+            if accepted:
+                break
+    return levels, trace
+
+
+@pytest.mark.parametrize("q, fields", [
+    (1.0, dict(epsilon=0.02)),
+    (2.0, dict(epsilon=0.01, N=3)),
+    (1.5, dict(epsilon=0.03, k=0.5)),
+    (2.0, dict(epsilon=0.05, gamma=0.3, N=40)),
+])
+def test_level_loop_reuses_only_moments_whose_tally_stood_still(q, fields):
+    model = SyntheticNormalModel(q=q)
+    cfg = EstimatorConfig(y=Y, q=q, **fields)
+    record = run_mlmc_sr(model, cfg, 21)
+    levels, trace = reference_level_loop(model, cfg, 21)
+    assert record.termination_trace == trace
+    assert len(record.per_level) == len(levels)
+    for got, want in zip(record.per_level, levels):
+        assert (got.tally, got.moments, got.cost) == (want.tally, want.moments, want.cost)
+        np.testing.assert_array_equal(got.histogram, want.histogram)
+
+
 def test_mandatory_draws_and_monotone_sizes():
     model = SyntheticNormalModel(q=1.0)
     cfg = EstimatorConfig(y=Y, epsilon=0.05)
@@ -373,6 +432,23 @@ def test_store_serves_covered_chunks_without_the_kernel(monkeypatch):
     assert len(calls) > 0
 
 
+def test_fully_served_run_makes_no_kernel_call(monkeypatch):
+    model = SyntheticNormalModel(q=2.0)
+    fine = EstimatorConfig(y=Y, epsilon=0.01, q=2.0)
+    coarse = EstimatorConfig(y=Y, epsilon=0.03, q=2.0)
+    store = OutcomeStore(model, 12, fine)
+    run_mlmc_sr(model, fine, 12, store=store)
+    alone = run_mlmc_sr(model, coarse, 12)
+    assert all(n <= store.covered(level) for level, n in enumerate(alone.n_drawn))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fully served run refined rows")
+
+    monkeypatch.setattr(driver, "_map_chunks", refuse)
+    monkeypatch.setattr(driver, "sample_corrector_batch", refuse)
+    records_equal(run_mlmc_sr(model, coarse, 12, store=store), alone)
+
+
 @pytest.mark.parametrize("target", [99, 100, 101, 150, 230])
 def test_store_serves_exactly_the_rows_it_holds(target):
     # the store holds rows 0..99 of level 2; chunks of 64 from 0 end at
@@ -415,22 +491,22 @@ def test_store_doubles_each_level_within_the_budget(monkeypatch):
 
     def rows(a, b):
         index = np.arange(a, b)
-        return (index % 3 - 1).astype(np.int8), (index % 7).astype(np.uint8), index * 0.5
+        return (index % 7).astype(np.uint8), index * 0.5
 
     def size(level):
         return {column.size for column in store._columns[level]}
 
-    store.record(0, 0, rows(0, 400))
-    store.record(1, 0, rows(0, 100))
-    store.record(0, 400, rows(400, 450))    # doubles level 0
-    store.record(0, 500, rows(500, 600))    # past its rows: not recorded
+    store.record(0, 0, *rows(0, 400))
+    store.record(1, 0, *rows(0, 100))
+    store.record(0, 400, *rows(400, 450))    # doubles level 0
+    store.record(0, 500, *rows(500, 600))    # past its rows: not recorded
     assert (size(0), store.covered(0), store.rows) == ({800}, 450, 550)
-    store.record(1, 50, rows(50, 250))      # 150 new rows, past twice 100
-    store.record(0, 440, rows(440, 600))    # fills level 0's 800 rows
+    store.record(1, 50, *rows(50, 250))      # 150 new rows, past twice 100
+    store.record(0, 440, *rows(440, 600))    # fills level 0's 800 rows
     assert (size(1), store.covered(0), store.rows) == ({250}, 600, 850)
-    store.record(1, 250, rows(250, 400))    # doubling would pass the budget
+    store.record(1, 250, *rows(250, 400))    # doubling would pass the budget
     assert (size(1), store.covered(1), store.rows) == ({400}, 400, 1000)
-    store.record(0, 600, rows(600, 700))    # the budget is spent
+    store.record(0, 600, *rows(600, 700))    # the budget is spent
     assert store.covered(0) == 600
     for level, n in [(0, 600), (1, 400)]:
         for got, want in zip(store.take(level, 0, n), rows(0, n)):
@@ -450,6 +526,42 @@ def test_mc_store_gives_the_records_of_runs_made_alone():
                       run_mc_baseline(model, cfg, 6))
     assert store.rows == 0
     assert {(1, 20), (1, 40), (3, 80), (3, 160)} <= set(store.pilots)
+
+
+GRID_EPSILONS = (0.04, 0.06, 0.09, 0.14)
+
+
+@st.composite
+def epsilon_grids(draw):
+    """An epsilon grid, repeats allowed, ascending, descending or shuffled."""
+    grid = draw(st.lists(st.sampled_from(GRID_EPSILONS), min_size=2, max_size=5))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "shuffled":
+        return draw(st.permutations(grid))
+    return sorted(grid, reverse=order == "descending")
+
+
+def record_of(runner, *args, **kwargs):
+    try:
+        return runner(*args, **kwargs)
+    except NonConvergenceError as exc:
+        return exc.record
+
+
+@given(grid=epsilon_grids(), q=st.sampled_from([1.0, 1.5, 2.0]),
+       chunk=st.sampled_from([16, 100, 1000]), seed=st.integers(0, 1000))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_store_backed_grids_equal_runs_made_alone(grid, q, chunk, seed):
+    # whatever the grid's order, a seed's runs through one store (served in
+    # full, in part or not at all) give the records of runs made alone
+    model = SyntheticNormalModel(q=q)
+    model.batch_chunk = chunk
+    for runner in (run_mlmc_sr, run_mc_baseline):
+        store = OutcomeStore(model, seed, EstimatorConfig(y=Y, epsilon=grid[0], q=q))
+        for epsilon in grid:
+            cfg = EstimatorConfig(y=Y, epsilon=epsilon, q=q)
+            records_equal(record_of(runner, model, cfg, seed, store=store),
+                          record_of(runner, model, cfg, seed))
 
 
 STORE_MISMATCHES = [
@@ -485,26 +597,79 @@ def test_store_keeps_stop_rungs_past_an_int8():
     assert batch.stop.tolist() == [300] * 20
     counts = driver._count_stops(batch.stop, 300)
     assert counts[300] == 20 and counts.sum() == 20
+    code = driver._row_codes(batch.sign, batch.stop, 300)
     store = OutcomeStore(model, 0, cfg)
-    store.record(300, 0, (batch.sign, batch.stop, batch.cost_fine))
+    store.record(300, 0, code, batch.cost_fine)
     assert store.covered(300) == 20 and store.covered(299) == 0
-    got_sign, got_stop, got_cost = store.take(300, 0, 20)
-    assert got_stop.tolist() == [300] * 20
-    np.testing.assert_array_equal(got_sign, batch.sign)
+    got_code, got_cost = store.take(300, 0, 20)
+    assert got_code.dtype == np.uint16
+    assert got_code.tolist() == (3 * 300 + 1 + batch.sign.astype(int)).tolist()
     np.testing.assert_array_equal(got_cost, batch.cost_fine)
+    state = driver.LevelState(300, driver.CorrectorTally(300),
+                              histogram=np.zeros(301, dtype=np.int64))
+    driver._fold(state, got_code, got_cost)
+    assert state.histogram[300] == 20 and state.histogram.sum() == 20
 
 
-@pytest.mark.parametrize("level", [0, 1, 5, 300])
+def fold_both_ways(level, sign, stop, cost):
+    """The level states that ``_fold`` (by row code) and ``_fold_rungs`` make."""
+    states = [driver.LevelState(level, driver.CorrectorTally(level),
+                                histogram=np.zeros(level + 1, dtype=np.int64))
+              for _ in range(2)]
+    driver._fold(states[0], driver._row_codes(sign, stop, level), cost)
+    driver._fold_rungs(states[1], sign, stop, cost)
+    return states
+
+
+@pytest.mark.parametrize("level", [0, 1, 5, 84, 85, 300])
 def test_count_stops_matches_bincount(level):
+    # both counting paths, on both sides of the refined-chunk size switch;
+    # row codes take one byte up to level 84 and two from level 85
     rng = np.random.default_rng(level)
     dtype = np.min_scalar_type(level)
-    for n in (0, 1, 37, 5000):
+    switch = driver._BINCOUNT_ROWS
+    for n in (0, 1, 37, switch - 1, switch, 5000):
         # rungs cluster low, as they do in a kernel chunk, but reach the top
         stop = np.minimum(rng.geometric(0.5, n) - 1, level).astype(dtype)
         if n:
             stop[-1] = level
-        np.testing.assert_array_equal(driver._count_stops(stop, level),
-                                      np.bincount(stop, minlength=level + 1))
+        want = np.bincount(stop, minlength=level + 1)
+        np.testing.assert_array_equal(driver._count_stops(stop, level), want)
+        # any sign at any rung, so no path leans on where the kernel puts them
+        sign = rng.integers(-1, 2, n).astype(np.int8)
+        cost = rng.random(n)
+        code = driver._row_codes(sign, stop, level)
+        assert code.dtype == (np.uint8 if level <= 84 else np.uint16)
+        np.testing.assert_array_equal(code, 3 * stop.astype(np.int64) + sign + 1)
+        for state in fold_both_ways(level, sign, stop, cost):
+            assert (state.tally.n, state.tally.n_plus, state.tally.n_minus) == (
+                n, np.count_nonzero(sign > 0), np.count_nonzero(sign < 0))
+            np.testing.assert_array_equal(state.histogram, want)
+            assert state.cost == float(cost.sum())
+
+
+@pytest.mark.parametrize("rows", [driver._BINCOUNT_ROWS - 1, driver._BINCOUNT_ROWS])
+def test_refined_and_served_chunks_fold_the_kernel_rows(monkeypatch, rows):
+    # one chunk just under and one at the size switch: refined with a store
+    # (recorded), then served from it, then refined alone
+    model = SyntheticNormalModel(q=2.0)
+    cfg = EstimatorConfig(y=Y, epsilon=0.05, q=2.0)
+    batch = sample_corrector_batch(model, 5, 3, 0, rows, Y, cfg.schedule)
+    rung_folds = []
+    fold_rungs = driver._fold_rungs
+    monkeypatch.setattr(driver, "_fold_rungs",
+                        lambda state, *args: rung_folds.append(1) or fold_rungs(state, *args))
+    store = OutcomeStore(model, 5, cfg)
+    for s in (store, store, None):
+        state = driver.LevelState(3, driver.CorrectorTally(3),
+                                  histogram=np.zeros(4, dtype=np.int64))
+        driver._extend_level(model, 5, state, rows, cfg, None, s)
+        assert (state.tally.n, state.tally.n_plus, state.tally.n_minus) == (
+            rows, np.count_nonzero(batch.sign > 0), np.count_nonzero(batch.sign < 0))
+        np.testing.assert_array_equal(state.histogram, np.bincount(batch.stop, minlength=4))
+        assert state.cost == float(batch.cost_fine.sum())
+    assert store.covered(3) == rows
+    assert len(rung_folds) == (2 if rows >= driver._BINCOUNT_ROWS else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmcsr import estimators
 from mlmcsr.estimators import (
     CorrectorTally,
     EstimatorConfig,
@@ -323,10 +324,23 @@ def test_allocate_matches_the_numpy_formulation_bit_for_bit():
         assert outcome(allocate, *args) == outcome(reference_allocate, *args)
 
 
-def test_cost_memo_returns_the_computed_costs():
-    for sched in (LevelSchedule(0.5, 2.0), LevelSchedule(0.3, 1.5), LevelSchedule(0.5, 1)):
-        for level in range(32):
-            assert cost_per_sample(level, sched) == cost_per_sample.__wrapped__(level, sched)
+def test_cost_ladder_sums_each_level_left_to_right():
+    # optimal_allocation builds the ladder once per call; every entry must
+    # have the bits of its own left-to-right sum, and allocating over more
+    # than eight levels must match allocate on those costs bit for bit
+    rng = np.random.default_rng(7)
+    for sched in (LevelSchedule(0.5, 2.0), LevelSchedule(0.3, 1.5), LevelSchedule(0.5, 1),
+                  LevelSchedule(np.float64(0.7), np.float64(2.5)),
+                  LevelSchedule(np.float32(0.7), np.float32(2.5))):
+        r = sched.gamma ** (1.0 - sched.q)
+        costs = [float(sum(r ** j for j in range(level + 1))) for level in range(32)]
+        assert [cost_per_sample(level, sched) for level in range(32)] == costs
+        assert estimators._cost_ladder(32, sched) == costs
+        for levels in (1, 8, 9, 20, 32):
+            v = rng.uniform(1e-6, 1.0, levels).tolist()
+            moments = [MomentEstimates(l, 0.0, vl) for l, vl in enumerate(v)]
+            assert (optimal_allocation(moments, sched, 1e-3).tolist()
+                    == reference_allocate(v, costs[:levels], 1e-3).tolist())
     with pytest.raises(ValueError):
         cost_per_sample(-1, LevelSchedule())
 
