@@ -14,12 +14,14 @@ index, extension work split into fixed-size chunks whose boundaries
 depend only on the extension range, and chunk results folded in range
 order no matter which worker finished first.
 
-The runs of one seed can share an ``OutcomeStore``, which keeps each
-refined row's outcome as a small int code and a cost.  A later run folds
-the chunks the store covers, one ``np.bincount`` of codes each, and
-refines only the rest, so an extension the store covers in full makes
-no kernel call.  The level loop recomputes a level's moments only when
-its tally grows.
+Every chunk goes through one fold, ``_fold``: it adds the chunk's code
+counts (see ``CorrectorBatch``) and cost sum to the level.  A refined
+chunk hands over the counts the kernel returned.  The runs of one seed
+can share an ``OutcomeStore``, which keeps each refined row's code and
+cost; a later run folds the chunks the store covers, their counts one
+``np.bincount`` of codes each, and refines only the rest, so an
+extension the store covers in full makes no kernel call.  The level
+loop recomputes a level's moments only when its tally grows.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ class OutcomeStore:
     bits by every run with the same model, y, gamma and q, whatever its
     epsilon.  A store records, per level, the outcome of each refined
     row for indices 0..n-1 in two arrays grown by doubling: its row code
-    3 * stop + sign + 1 (see ``_row_codes``) and its cost.  A run's
+    3 * stop + sign + 1 (see ``CorrectorBatch``) and its cost.  A run's
     extension the store covers in full is folded from views of those
     arrays, chunk by chunk, with no kernel call; ``run_mlmc_sr`` folds
     any chunk the store covers from them and refines the rest.  The
@@ -254,60 +256,17 @@ def _deepest_countable_level(config: EstimatorConfig) -> int:
     return lo
 
 
-def _row_codes(sign: np.ndarray, stop: np.ndarray, level: int) -> np.ndarray:
-    """Each row's outcome as one small int, 3 * stop + sign + 1, in the
-    smallest unsigned dtype that holds 3 * level + 2: one byte up to
-    level 84, two up to level 21844."""
-    code = np.multiply(stop, 3, dtype=np.min_scalar_type(3 * level + 2))
-    code += 1
-    np.add(code, sign, out=code, casting="unsafe")  # never below 0
-    return code
-
-
-def _count_stops(stop: np.ndarray, level: int) -> np.ndarray:
-    """How many of the per-row ``stop`` rungs equal each of 0..level.
-
-    Counts the rows at or past each rung, with no pass once none is
-    left; on a full chunk of small ints that is several times faster
-    than ``np.bincount``, which first casts the whole array to intp.
-    """
-    past = [stop.size]
-    for t in range(1, level + 1):
-        past.append(int(np.count_nonzero(stop >= t)) if past[-1] else 0)
-    past.append(0)
-    return np.array([a - b for a, b in zip(past, past[1:])], dtype=np.int64)
-
-
-# A refined chunk of fewer rows than this folds by row code with one
-# np.bincount (``_fold``); a larger one counts the rows past each rung
-# (``_fold_rungs``), because bincount first casts every code to intp: on
-# a 32k-row chunk that took about 80 us against 15-50 us (2-core Xeon).
-# Rows served from a store always fold by code.
-_BINCOUNT_ROWS = 4096
-
-
-def _fold(state: LevelState, code: np.ndarray, cost: np.ndarray) -> None:
-    """Add one chunk's row codes and costs to a level's tally, histogram
-    and cost, counting the codes with one ``np.bincount``."""
-    counts = np.bincount(code, minlength=3 * state.level + 3).tolist()
+def _fold(state: LevelState, counts: np.ndarray, cost: np.ndarray) -> None:
+    """Add one chunk's code counts (``np.bincount`` of its row codes, see
+    ``CorrectorBatch``) and costs to a level's tally, histogram and cost."""
+    counts = counts.tolist()
     minus, zero, plus = counts[0::3], counts[1::3], counts[2::3]
     tally = state.tally
-    tally.n += code.size
+    tally.n += sum(counts)
     tally.n_plus += sum(plus)
     tally.n_minus += sum(minus)
     state.histogram += [a + b + c for a, b, c in zip(minus, zero, plus)]
     state.cost += float(cost.sum())  # the coarse solves are in it
-
-
-def _fold_rungs(state: LevelState, sign: np.ndarray, stop: np.ndarray,
-                cost: np.ndarray) -> None:
-    """``_fold`` for a large chunk: the same sums from its sign and stop."""
-    tally = state.tally
-    tally.n += sign.size
-    tally.n_plus += int(np.count_nonzero(sign > 0))
-    tally.n_minus += int(np.count_nonzero(sign < 0))
-    state.histogram += _count_stops(stop, state.level)
-    state.cost += float(cost.sum())
 
 
 def _extend_level(
@@ -334,7 +293,8 @@ def _extend_level(
         covered = store.covered(level)
         served = hi if hi <= covered else max(lo, lo + (covered - lo) // chunk * chunk)
         for a in range(lo, served, chunk):
-            _fold(state, *store.take(level, a, min(a + chunk, served)))
+            code, cost = store.take(level, a, min(a + chunk, served))
+            _fold(state, np.bincount(code, minlength=3 * level + 3), cost)
         if served == hi:
             return
 
@@ -344,15 +304,9 @@ def _extend_level(
 
     keep = store is not None and not store.full
     for batch in _map_chunks(work, served, hi, chunk, pool):
-        sign, stop, cost = batch.sign, batch.stop, batch.cost_fine
-        small = sign.size < _BINCOUNT_ROWS
-        code = _row_codes(sign, stop, level) if small or keep else None
-        if small:
-            _fold(state, code, cost)
-        else:
-            _fold_rungs(state, sign, stop, cost)
+        _fold(state, batch.counts, batch.cost_fine)
         if keep:
-            store.record(level, batch.lo, code, cost)
+            store.record(level, batch.lo, batch.code, batch.cost_fine)
     state.tally.check()
 
 
@@ -376,9 +330,13 @@ def run_mlmc_sr(
     the bias criterion is still unmet at config.max_level.  A ``store``
     serves the rows earlier runs of the same seed refined and records
     the rows this run refines; the record is the same without it.
-    Raises ValueError if the store was made for another model, seed, y,
-    gamma or q, or if a level would open with 2**63 rows or more.
+    Raises ValueError if config.N < 2, if the store was made for another
+    model, seed, y, gamma or q, or if a level would open with 2**63 rows
+    or more.
     """
+    if config.N < 2:   # level 0 opens with N rows, and its variance needs two
+        raise ValueError(f"mlmc-sr needs N >= 2 (level 0 opens with N rows and "
+                         f"its variance needs two), got N={config.N}")
     if store is not None:
         store.check(model, seed, config)
     _level_size(config, 2)  # every run opens levels 0..2: refuse, undrawn, one that cannot

@@ -228,12 +228,6 @@ class EllipticFlux1D:
         self._phi = math.exp(-1.0 / (m * rho))
         self._innovation = sigma * math.sqrt(-math.expm1(-2.0 / (m * rho)))
 
-    def _fields(self, seed: int, level: int, lo: int, hi: int) -> np.ndarray:
-        """Coefficient fields of realizations lo..hi-1, one C-contiguous row each."""
-        n = (hi - lo) * self.master_cells
-        counters = np.arange(lo * self.master_cells, hi * self.master_cells, dtype=np.uint64)
-        return self._fill_fields(seed, level, counters, np.empty(n), np.empty(n))
-
     def _fill_fields(self, seed: int, level: int, counters: np.ndarray,
                      field: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Fields of the rows whose normals sit at ``counters``, in ``field``.

@@ -12,9 +12,14 @@ of y.  At exit the realization satisfies the accuracy contract
 which is exactly what the multilevel telescope needs from samples.
 
 The kernel refines every row of a drawn batch at once through the
-model's ``solve_batch``: ``sample_corrector_batch`` runs it on a range
-of indices and returns each row's corrector sign, stop rung and cost,
-and ``solve_selective`` is the same kernel on a batch of one realization.
+model's ``solve_batch``.  It keeps no per-row value: for each row it
+writes one code 3 * stop + sign + 1 (stop rung and corrector sign) and
+the work of its solves, and it counts the codes from the sizes of the
+rungs' active sets as it goes.  ``sample_corrector_batch`` runs it on a
+range of indices and returns codes, costs and counts, the form the
+drivers fold and store.  ``solve_selective`` is the same kernel on a
+batch of one realization; it re-solves the row at its stop rung for
+the value, which the model contract makes bit-identical.
 
 Two guard variants run the same loop: a row is solved at rung t while
 the guard tolerance exceeds |value - y|.  They differ only in which
@@ -124,45 +129,56 @@ def _refine(
     y: float,
     schedule: LevelSchedule,
     rule: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Refine rows 0..n-1 of a drawn batch to ``level`` around ``y``.
 
-    Returns (value, cost, stop, sign).  ``value`` and ``cost`` are the
-    level-l functional and the work of its solves.  ``stop[i]`` is the
-    rung at which row i's refinement stopped: the last rung t >= 1 that
-    solved it, or 0, in the smallest unsigned dtype that holds
-    ``level``.  ``sign`` (int8) is the corrector Q_l - Q_(l-1): at
-    level 0 the indicator itself; above it, the level-(l-1) functional
-    is this refinement before rung ``level``, so only the rows that
-    rung solves can differ, and ``cost`` is the work of both.
+    Returns (code, cost, counts) as ``CorrectorBatch`` holds them.  A
+    row's stop is the last rung t >= 1 that solved it, or 0.  The
+    level-(l-1) functional is this refinement before rung ``level``, so
+    only the rows that rung solves can have a nonzero sign, and ``cost``
+    is the work of both functionals.  ``counts`` is kept from the sizes
+    of the rungs' active sets: a row that stops below ``level`` has sign
+    0, and only the last rung's rows are split by sign.
     """
     if rule not in ("certified", "printed"):
         raise ValueError(f"unknown refinement rule {rule!r}")
-    everyone = np.arange(n, dtype=np.int64)
-    value, cost = model.solve_batch(batch, everyone, 1.0, 0)
-    stop = np.zeros(n, dtype=np.min_scalar_type(level))
-    sign = np.zeros(n, dtype=np.int8)
-    tolerances = [schedule.tolerance(t) for t in range(level + 2)]
+    active = np.arange(n, dtype=np.int64)
+    v, cost = model.solve_batch(batch, active, 1.0, 0)
+    code = np.ones(n, dtype=np.min_scalar_type(3 * level + 2))   # stop 0, sign 0
+    counts = [0] * (3 * level + 3)   # kept as the codes are written
+    counts[1] = n
+    if level == 0:
+        below = v <= y
+        code += below
+        hits = np.count_nonzero(below)
+        counts[1:] = n - hits, hits
+    tolerances = [schedule.tolerance(t) for t in range(level + 1)]
     first = 1 if rule == "certified" else 0  # rung t is guarded by gamma**(t - first)
-    active = (np.abs(value - y) < 1.0).nonzero()[0] if level >= first else None
     for t in range(first, level + 1):
+        if t == level:
+            below = v <= y    # the level-(l-1) indicator of the previous rung's rows
+        np.subtract(v, y, out=v)
+        keep = np.abs(v, out=v) < tolerances[t - first]
+        active = active.compress(keep)
         if active.size == 0:
             break
         v, w = model.solve_batch(batch, active, tolerances[t], t)
-        if t == level and level:
-            sign[active] = (v <= y).view(np.int8) - (value[active] <= y).view(np.int8)
-        value[active] = v
         w += cost[active]
         cost[active] = w
-        if t:
-            stop[active] = t
-        if t == level:   # the last rung: no next active set to build
-            break
-        np.subtract(v, y, out=v)
-        active = active[np.abs(v, out=v) < tolerances[t + 1 - first]]
-    if level == 0:
-        sign = (value <= y).view(np.int8)
-    return value, cost, stop, sign
+        if t == 0:
+            continue   # the printed rule's tolerance-1 re-solve leaves stop at 0
+        counts[3 * t - 2] -= active.size   # these rows leave stop t - 1
+        if t < level:
+            code[active] = 3 * t + 1
+            counts[3 * t + 1] = active.size
+            continue
+        # the last rung: each row's sign is now - below
+        below, now = below.compress(keep), v <= y
+        last = np.add(now, 3 * level + 1, dtype=code.dtype)
+        code[active] = np.subtract(last, below, out=last)
+        plus, minus = np.count_nonzero(now > below), np.count_nonzero(now < below)
+        counts[3 * level:] = minus, active.size - plus - minus, plus
+    return code, cost, np.array(counts, dtype=np.int64)
 
 
 def _draw_one(model: ModelContract, sid: SampleId) -> Any:
@@ -190,8 +206,13 @@ def solve_selective(
     else:
         handle = sid_or_handle
         sid = SampleId(handle.seed, handle.level, handle.lo)
-    value, cost, stop, _ = _refine(model, handle, 1, level, y, schedule, rule)
-    return RealizationState(sid, level, float(value[0]), int(stop[0]), float(cost[0]))
+    code, cost, _ = _refine(model, handle, 1, level, y, schedule, rule)
+    # the value is the solve at the stop rung, which a repeated solve
+    # at the same tol_index reproduces bit for bit
+    stop = int(code[0]) // 3
+    value, _ = model.solve_batch(handle, np.zeros(1, dtype=np.int64),
+                                 schedule.tolerance(stop), stop)
+    return RealizationState(sid, level, float(value[0]), stop, float(cost[0]))
 
 
 def assumption_holds(model: ModelContract, state: RealizationState, y: float,
@@ -213,22 +234,35 @@ def assumption_holds(model: ModelContract, state: RealizationState, y: float,
 class CorrectorBatch:
     """Per-realization outcomes for indices [lo, hi) of one level.
 
-    ``sign`` (int8) is each corrector Y_l = Q_l - Q_(l-1) in {-1, 0, +1};
-    at level 0 it is the indicator Q_0 itself.  ``stop`` is the ladder
-    index 0..level at which each realization's refinement stopped, in the
-    smallest unsigned dtype that holds ``level``; at levels >= 1 only
-    rows with ``stop == level`` can have a nonzero sign.  ``cost_fine``
-    is the work of the level-l refinement, which is the corrector's
-    whole work: the level-(l-1) functional is that refinement before its
-    last rung and makes no solve of its own.
+    ``code`` holds each row's outcome 3 * stop + sign + 1, in the
+    smallest unsigned dtype that holds 3 * level + 2: one byte up to
+    level 84, two up to level 21844.  ``sign`` is the corrector
+    Y_l = Q_l - Q_(l-1) in {-1, 0, +1}; at level 0 it is the indicator
+    Q_0 itself.  ``stop`` is the ladder index 0..level at which the
+    row's refinement stopped; at levels >= 1 only rows with
+    ``stop == level`` can have a nonzero sign.  ``counts`` is
+    ``np.bincount(code, minlength=3 * level + 3)``, what the drivers
+    fold.  ``cost_fine`` is the work of the level-l refinement, which is
+    the corrector's whole work: the level-(l-1) functional is that
+    refinement before its last rung and makes no solve of its own.
     """
 
     level: int
     lo: int
     hi: int
-    sign: np.ndarray
-    stop: np.ndarray
+    code: np.ndarray
     cost_fine: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def sign(self) -> np.ndarray:
+        """Each row's corrector (int8), from its code."""
+        return (self.code % 3).astype(np.int8) - 1
+
+    @property
+    def stop(self) -> np.ndarray:
+        """Each row's stop rung, from its code."""
+        return self.code // 3
 
 
 def sample_corrector_batch(
@@ -250,5 +284,5 @@ def sample_corrector_batch(
     if hi < lo:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi})")
     batch = model.draw_batch(seed, level, lo, hi)
-    _, cost, stop, sign = _refine(model, batch, hi - lo, level, y, schedule, "certified")
-    return CorrectorBatch(level, lo, hi, sign, stop, cost)
+    code, cost, counts = _refine(model, batch, hi - lo, level, y, schedule, "certified")
+    return CorrectorBatch(level, lo, hi, code, cost, counts)

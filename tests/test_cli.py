@@ -165,6 +165,18 @@ def test_uncountable_level_size_is_config_error(tmp_path, capsys, fields):
         assert "2**63 rows" in capsys.readouterr().err
 
 
+def test_single_row_level_0_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    def no_draw(self, seed, level, lo, hi):
+        raise AssertionError(f"drew rows [{lo}, {hi}) of level {level}")
+
+    monkeypatch.setattr(SyntheticNormalModel, "draw_batch", no_draw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"name": "synthetic-normal"}, "y": 0.8,
+                                "epsilons": [0.1], "runs": 1, "N": 1}))
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert "N=1" in capsys.readouterr().err
+
+
 def test_mc_pilot_past_the_countable_levels_exits_before_drawing(tmp_path, capsys,
                                                                 monkeypatch):
     # level 100 would need 10 * 2**100 rows; the deepest level short of

@@ -589,87 +589,78 @@ def test_store_refuses_a_run_it_was_not_made_for(change, runner):
            3, store=store)
 
 
+def new_level_state(level):
+    return driver.LevelState(level, driver.CorrectorTally(level),
+                             histogram=np.zeros(level + 1, dtype=np.int64))
+
+
+def level_sums(state):
+    return (state.tally.n, state.tally.n_plus, state.tally.n_minus,
+            state.histogram.tolist(), state.cost)
+
+
 def test_store_keeps_stop_rungs_past_an_int8():
     # X = y exactly straddles y at every rung, so each row refines to the last
     model = ConstantModel(Y)
     cfg = EstimatorConfig(y=Y, epsilon=0.1, max_level=300)
     batch = sample_corrector_batch(model, 0, 300, 0, 20, Y, cfg.schedule)
     assert batch.stop.tolist() == [300] * 20
-    counts = driver._count_stops(batch.stop, 300)
-    assert counts[300] == 20 and counts.sum() == 20
-    code = driver._row_codes(batch.sign, batch.stop, 300)
+    assert batch.counts[3 * 300 + 1] == 20 and batch.counts.sum() == 20
     store = OutcomeStore(model, 0, cfg)
-    store.record(300, 0, code, batch.cost_fine)
+    store.record(300, 0, batch.code, batch.cost_fine)
     assert store.covered(300) == 20 and store.covered(299) == 0
     got_code, got_cost = store.take(300, 0, 20)
     assert got_code.dtype == np.uint16
     assert got_code.tolist() == (3 * 300 + 1 + batch.sign.astype(int)).tolist()
     np.testing.assert_array_equal(got_cost, batch.cost_fine)
-    state = driver.LevelState(300, driver.CorrectorTally(300),
-                              histogram=np.zeros(301, dtype=np.int64))
-    driver._fold(state, got_code, got_cost)
-    assert state.histogram[300] == 20 and state.histogram.sum() == 20
-
-
-def fold_both_ways(level, sign, stop, cost):
-    """The level states that ``_fold`` (by row code) and ``_fold_rungs`` make."""
-    states = [driver.LevelState(level, driver.CorrectorTally(level),
-                                histogram=np.zeros(level + 1, dtype=np.int64))
-              for _ in range(2)]
-    driver._fold(states[0], driver._row_codes(sign, stop, level), cost)
-    driver._fold_rungs(states[1], sign, stop, cost)
-    return states
+    # the row codes a store serves and the counts the kernel returns fold alike
+    served, refined = new_level_state(300), new_level_state(300)
+    driver._fold(served, np.bincount(got_code, minlength=3 * 300 + 3), got_cost)
+    driver._fold(refined, batch.counts, batch.cost_fine)
+    assert level_sums(served) == level_sums(refined)
+    assert served.histogram[300] == 20 and served.histogram.sum() == 20
 
 
 @pytest.mark.parametrize("level", [0, 1, 5, 84, 85, 300])
 def test_count_stops_matches_bincount(level):
-    # both counting paths, on both sides of the refined-chunk size switch;
+    # the one fold reads the stop histogram and the tally off code counts:
+    # against np.bincount of the rows' stops and the signs' own counts, with
+    # any sign at any rung, so the fold leans on nothing but the code layout;
     # row codes take one byte up to level 84 and two from level 85
     rng = np.random.default_rng(level)
-    dtype = np.min_scalar_type(level)
-    switch = driver._BINCOUNT_ROWS
-    for n in (0, 1, 37, switch - 1, switch, 5000):
+    dtype = np.min_scalar_type(3 * level + 2)
+    for n in (0, 1, 37, 5000):
         # rungs cluster low, as they do in a kernel chunk, but reach the top
-        stop = np.minimum(rng.geometric(0.5, n) - 1, level).astype(dtype)
+        stop = np.minimum(rng.geometric(0.5, n) - 1, level)
         if n:
             stop[-1] = level
-        want = np.bincount(stop, minlength=level + 1)
-        np.testing.assert_array_equal(driver._count_stops(stop, level), want)
-        # any sign at any rung, so no path leans on where the kernel puts them
-        sign = rng.integers(-1, 2, n).astype(np.int8)
+        sign = rng.integers(-1, 2, n)
+        code = (3 * stop + sign + 1).astype(dtype)
         cost = rng.random(n)
-        code = driver._row_codes(sign, stop, level)
-        assert code.dtype == (np.uint8 if level <= 84 else np.uint16)
-        np.testing.assert_array_equal(code, 3 * stop.astype(np.int64) + sign + 1)
-        for state in fold_both_ways(level, sign, stop, cost):
-            assert (state.tally.n, state.tally.n_plus, state.tally.n_minus) == (
-                n, np.count_nonzero(sign > 0), np.count_nonzero(sign < 0))
-            np.testing.assert_array_equal(state.histogram, want)
-            assert state.cost == float(cost.sum())
+        state = new_level_state(level)
+        driver._fold(state, np.bincount(code, minlength=3 * level + 3), cost)
+        assert level_sums(state) == (
+            n, np.count_nonzero(sign > 0), np.count_nonzero(sign < 0),
+            np.bincount(stop, minlength=level + 1).tolist(), float(cost.sum()))
 
 
-@pytest.mark.parametrize("rows", [driver._BINCOUNT_ROWS - 1, driver._BINCOUNT_ROWS])
-def test_refined_and_served_chunks_fold_the_kernel_rows(monkeypatch, rows):
-    # one chunk just under and one at the size switch: refined with a store
-    # (recorded), then served from it, then refined alone
+@pytest.mark.parametrize("rows", [4095, 4096])
+def test_refined_and_served_chunks_fold_the_kernel_rows(rows):
+    # the same rows refined with a store (recorded), then served from it,
+    # then refined alone, in chunks of 1000 rows: one fold, one tally; the
+    # works are integers, so the chunked cost sums are exact
     model = SyntheticNormalModel(q=2.0)
+    model.batch_chunk = 1000
     cfg = EstimatorConfig(y=Y, epsilon=0.05, q=2.0)
     batch = sample_corrector_batch(model, 5, 3, 0, rows, Y, cfg.schedule)
-    rung_folds = []
-    fold_rungs = driver._fold_rungs
-    monkeypatch.setattr(driver, "_fold_rungs",
-                        lambda state, *args: rung_folds.append(1) or fold_rungs(state, *args))
+    want = (rows, np.count_nonzero(batch.sign > 0), np.count_nonzero(batch.sign < 0),
+            np.bincount(batch.stop, minlength=4).tolist(), float(batch.cost_fine.sum()))
     store = OutcomeStore(model, 5, cfg)
     for s in (store, store, None):
-        state = driver.LevelState(3, driver.CorrectorTally(3),
-                                  histogram=np.zeros(4, dtype=np.int64))
+        state = new_level_state(3)
         driver._extend_level(model, 5, state, rows, cfg, None, s)
-        assert (state.tally.n, state.tally.n_plus, state.tally.n_minus) == (
-            rows, np.count_nonzero(batch.sign > 0), np.count_nonzero(batch.sign < 0))
-        np.testing.assert_array_equal(state.histogram, np.bincount(batch.stop, minlength=4))
-        assert state.cost == float(batch.cost_fine.sum())
+        assert level_sums(state) == want
     assert store.covered(3) == rows
-    assert len(rung_folds) == (2 if rows >= driver._BINCOUNT_ROWS else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +708,12 @@ def test_uncountable_level_size_raises_before_drawing(runner, fields):
     cfg = EstimatorConfig(y=Y, epsilon=0.1, **fields)
     with pytest.raises(ValueError, match=r"2\*\*63 rows"):
         runner(NeverDrawnModel(-3.0), cfg, seed=0)
+
+
+def test_mlmc_sr_refuses_a_single_row_level_before_drawing():
+    # level 0 opens with N rows, and level0_moments needs two of them
+    with pytest.raises(ValueError, match="N=1"):
+        run_mlmc_sr(NeverDrawnModel(Y), EstimatorConfig(y=Y, epsilon=0.1, N=1), seed=0)
 
 
 def test_level_size_stops_short_of_2_to_the_63_rows():

@@ -213,6 +213,15 @@ def test_elliptic_selected_cells_monotone_in_tolerance(elliptic):
         t /= 2.0
 
 
+def fields(model, seed, level, lo, hi):
+    """Coefficient fields of realizations lo..hi-1, one row each, as
+    ``EllipticFlux1D.draw_batch`` builds them with ``_fill_fields``."""
+    m = model.master_cells
+    counters = np.arange(lo * m, hi * m, dtype=np.uint64)
+    return model._fill_fields(seed, level, counters, np.empty(counters.size),
+                              np.empty(counters.size))
+
+
 def cholesky_fields(model, seed, level, lo, hi):
     """Fields of rows lo..hi-1 through a dense Cholesky factor of the
     covariance sigma**2 * exp(-|x1 - x2| / rho) on the master midpoints."""
@@ -228,8 +237,8 @@ def cholesky_fields(model, seed, level, lo, hi):
 @pytest.mark.parametrize("rho", [0.1, 0.01])
 def test_elliptic_fields_match_dense_cholesky(sigma, rho):
     model = EllipticFlux1D(sigma=sigma, rho=rho, master_cells=64)
-    fields = model._fields(17, 3, 40, 240)
-    np.testing.assert_allclose(fields, cholesky_fields(model, 17, 3, 40, 240),
+    np.testing.assert_allclose(fields(model, 17, 3, 40, 240),
+                               cholesky_fields(model, 17, 3, 40, 240),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -256,14 +265,14 @@ def test_elliptic_fields_match_rowwise_reference_bitwise(monkeypatch, m, rho, si
     model = EllipticFlux1D(sigma=sigma, rho=rho, master_cells=m)
     block = max(1, models._FIELD_BLOCK // m)
     lo, hi = 3, 3 + 3 * block + block // 2  # three whole blocks and a partial one
-    fields = model._fields(9, 2, lo, hi)
+    flat_fields = fields(model, 9, 2, lo, hi)
     counters = np.arange(lo * m, hi * m, dtype=np.uint64)
     reference = rowwise_fill_fields(model, 9, 2, counters, np.empty(counters.size),
                                     np.empty(counters.size))
-    assert fields.shape == reference.shape == (hi - lo, m)
-    assert fields.tobytes() == reference.tobytes()
+    assert flat_fields.shape == reference.shape == (hi - lo, m)
+    assert flat_fields.tobytes() == reference.tobytes()
     if sigma == 0.0:
-        assert np.all(fields == 1.0)
+        assert np.all(flat_fields == 1.0)
     flat = model.draw_batch(9, 2, lo, hi)
     monkeypatch.setattr(model, "_fill_fields",
                         lambda *args: rowwise_fill_fields(model, *args))
@@ -273,7 +282,7 @@ def test_elliptic_fields_match_rowwise_reference_bitwise(monkeypatch, m, rho, si
 
 def test_elliptic_flux_between_extreme_conductivities(elliptic):
     # series-network bound against the coefficient field
-    for i, a in enumerate(elliptic._fields(3, 0, 0, 10)):
+    for i, a in enumerate(fields(elliptic, 3, 0, 0, 10)):
         exact = elliptic.exact_batch(elliptic.draw_batch(3, 0, i, i + 1))[0]
         assert a.min() - 1e-12 <= exact <= a.max() + 1e-12
 
@@ -282,7 +291,7 @@ def test_elliptic_field_variance_and_correlation(elliptic):
     n = 10_000
     m = elliptic.master_cells
     probes = [0, m // 3, m // 2, m - 1]
-    rows = np.log(elliptic._fields(60, 0, 0, n))
+    rows = np.log(fields(elliptic, 60, 0, 0, n))
     kappa = rows[:, probes]
     var = kappa.var(axis=0)
     assert np.all(var > 0.94) and np.all(var < 1.06)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mlmcsr.estimators import LevelSchedule
 from mlmcsr.models import EllipticFlux1D, SyntheticNormalModel
 from mlmcsr.refinement import (
+    CorrectorBatch,
     SampleId,
     _refine,
     assumption_holds,
@@ -16,6 +17,10 @@ from mlmcsr.refinement import (
 
 SCHED = LevelSchedule(gamma=0.5, q=1.0)
 Y = 0.8
+RULES = ["certified", "printed"]
+# row codes take one byte up to level 84 and two from level 85
+LEVELS = [*range(13), 84, 85, 300]
+CHUNKS = [0, 1, 37, 4095, 4096, 5000]
 
 
 def fixture_model(q=2.0):
@@ -52,30 +57,43 @@ def reference_refine(model, handle, level, y, rule):
 
 def reference_batch(model, seed, level, lo, hi, rule, y=Y):
     """Per-realization reference for ``sample_corrector_batch``: each row
-    drawn alone and refined by ``reference_refine`` for both functionals."""
+    drawn alone and refined by ``reference_refine`` for both functionals.
+    Returns (q_fine, q_coarse, cost, stop, value) of rows lo..hi-1."""
     n = hi - lo
     q_f, q_c = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    c_f = np.zeros(n)
+    c_f, value = np.zeros(n), np.zeros(n)
     stop = np.zeros(n, dtype=np.int64)
     for pos, i in enumerate(range(lo, hi)):
         handle = model.draw_batch(seed, level, i, i + 1)
-        value, c_f[pos], stop[pos] = reference_refine(model, handle, level, y, rule)
-        q_f[pos] = value <= y
+        value[pos], c_f[pos], stop[pos] = reference_refine(model, handle, level, y, rule)
+        q_f[pos] = value[pos] <= y
         if level >= 1:
-            value, _, _ = reference_refine(model, handle, level - 1, y, rule)
-            q_c[pos] = value <= y
-    return q_f, q_c, c_f, stop
+            coarse, _, _ = reference_refine(model, handle, level - 1, y, rule)
+            q_c[pos] = coarse <= y
+    return q_f, q_c, c_f, stop, value
 
 
 def kernel_chunk(model, seed, level, lo, hi, rule):
-    """(sign, stop, cost) of the kernel on rows lo..hi-1 under ``rule``;
-    the certified rule runs through ``sample_corrector_batch``."""
+    """The kernel's CorrectorBatch for rows lo..hi-1 under ``rule``; the
+    certified rule runs through ``sample_corrector_batch``."""
     if rule == "certified":
-        batch = sample_corrector_batch(model, seed, level, lo, hi, Y, SCHED)
-        return batch.sign, batch.stop, batch.cost_fine
+        return sample_corrector_batch(model, seed, level, lo, hi, Y, SCHED)
     drawn = model.draw_batch(seed, level, lo, hi)
-    _, cost, stop, sign = _refine(model, drawn, hi - lo, level, Y, SCHED, rule)
-    return sign, stop, cost
+    code, cost, counts = _refine(model, drawn, hi - lo, level, Y, SCHED, rule)
+    return CorrectorBatch(level, lo, hi, code, cost, counts)
+
+
+def assert_chunk_matches(batch, q_f, q_c, c_f, stop, rows=slice(None)):
+    """The kernel's row codes and costs at ``rows`` of the chunk against
+    the reference's, bit for bit, and its counts against its codes."""
+    level = batch.level
+    assert batch.code.dtype == (np.uint8 if level <= 84 else np.uint16)
+    np.testing.assert_array_equal(batch.code[rows], 3 * stop + corrector(q_f, q_c) + 1)
+    assert batch.cost_fine[rows].tobytes() == c_f.tobytes()
+    np.testing.assert_array_equal(batch.counts,
+                                  np.bincount(batch.code, minlength=3 * level + 3))
+    np.testing.assert_array_equal(batch.sign[rows], corrector(q_f, q_c))
+    np.testing.assert_array_equal(batch.stop[rows], stop)
 
 
 def corrector(q_f, q_c):
@@ -182,37 +200,40 @@ def test_rule_name_is_validated():
 # batch sampling
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rule", ["certified", "printed"])
-@pytest.mark.parametrize("level", [0, 1, 4])
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("level", LEVELS)
 def test_batch_matches_scalar_loop_bitwise(rule, level):
+    # chunks of every size start at row 10; rows 10..59 and each chunk's
+    # last row are checked against the reference, the counts on every row
     for model in (SyntheticNormalModel(q=2.0), EllipticFlux1D(master_cells=128)):
-        sign, stop, cost = kernel_chunk(model, 99, level, 10, 60, rule)
-        q_f, q_c, c_f, ref_stop = reference_batch(model, 99, level, 10, 60, rule)
-        np.testing.assert_array_equal(sign, corrector(q_f, q_c))
-        np.testing.assert_array_equal(cost, c_f)
-        np.testing.assert_array_equal(stop, ref_stop)
-        for i, expected in enumerate(ref_stop):
+        q_f, q_c, c_f, stop, value = reference_batch(model, 99, level, 10, 60, rule)
+        for n in CHUNKS:
+            batch = kernel_chunk(model, 99, level, 10, 10 + n, rule)
+            head = min(n, 50)
+            assert_chunk_matches(batch, q_f[:head], q_c[:head], c_f[:head], stop[:head],
+                                 slice(head))
+            if n > 50:
+                last = reference_batch(model, 99, level, 9 + n, 10 + n, rule)
+                assert_chunk_matches(batch, *last[:4], slice(n - 1, n))
+        for i in range(50):
             state = solve_selective(model, SampleId(99, level, 10 + i), level, Y, SCHED,
                                     rule=rule)
-            assert state.achieved_tolerance_index == expected
+            assert (state.value.hex(), state.cost, state.achieved_tolerance_index) == (
+                value[i].hex(), c_f[i], stop[i])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    level=st.integers(0, 6),
+    level=st.one_of(st.integers(0, 12), st.sampled_from([84, 85, 300])),
     lo=st.integers(0, 1 << 40),
     n=st.integers(0, 40),
-    rule=st.sampled_from(["certified", "printed"]),
+    rule=st.sampled_from(RULES),
     q=st.sampled_from([1.0, 1.5, 2.0]),
 )
 def test_batch_matches_reference_property(level, lo, n, rule, q):
     model = SyntheticNormalModel(q=q)
-    sign, stop, cost = kernel_chunk(model, 7, level, lo, lo + n, rule)
-    q_f, q_c, c_f, ref_stop = reference_batch(model, 7, level, lo, lo + n, rule)
-    assert sign.dtype == np.int8
-    np.testing.assert_array_equal(sign, corrector(q_f, q_c))
-    assert cost.tobytes() == c_f.tobytes()
-    np.testing.assert_array_equal(stop, ref_stop)
+    batch = kernel_chunk(model, 7, level, lo, lo + n, rule)
+    assert_chunk_matches(batch, *reference_batch(model, 7, level, lo, lo + n, rule)[:4])
 
 
 @pytest.mark.parametrize("model", [SyntheticNormalModel(q=1.0), SyntheticNormalModel(q=2.0),
@@ -227,7 +248,7 @@ def test_sign_is_the_corrector_and_sits_on_the_last_rung(model):
     for level in range(9):
         lo = int(rng.integers(0, 1 << 30))
         batch = sample_corrector_batch(model, 23, level, lo, lo + 120, y, SCHED)
-        q_f, q_c, _, _ = reference_batch(model, 23, level, lo, lo + 120, "certified", y)
+        q_f, q_c, *_ = reference_batch(model, 23, level, lo, lo + 120, "certified", y)
         np.testing.assert_array_equal(batch.sign, corrector(q_f, q_c))
         if level:
             assert np.all(batch.stop[batch.sign != 0] == level)
@@ -257,7 +278,8 @@ def test_entry_probability_decays_geometrically():
 def test_batch_empty_range():
     model = SyntheticNormalModel()
     batch = sample_corrector_batch(model, 1, 2, 5, 5, Y, SCHED)
-    assert batch.sign.size == batch.stop.size == batch.cost_fine.size == 0
+    assert batch.code.size == batch.cost_fine.size == 0
+    assert batch.counts.tolist() == [0] * 9
     with pytest.raises(ValueError):
         sample_corrector_batch(model, 1, 2, 5, 4, Y, SCHED)
 
