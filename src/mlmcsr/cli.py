@@ -14,8 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .driver import NonConvergenceError, run_mc_baseline, run_mlmc_sr
-from .experiment import ConfigError, ExperimentConfig, run_experiment, theoretical_cost
+from .driver import NonConvergenceError
+from .experiment import (_METHODS, ConfigError, ExperimentConfig, _runner, run_experiment,
+                         theoretical_cost)
 from .models import MODELS, ModelInitError
 
 __all__ = ["main"]
@@ -30,7 +31,7 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the config's output directory")
     parser.add_argument("--threads", type=int, default=None,
                         help="override the config's thread count")
-    parser.add_argument("--method", choices=("mlmc-sr", "mc"), default=None,
+    parser.add_argument("--method", choices=_METHODS, default=None,
                         help="override the config's method")
 
 
@@ -64,24 +65,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    if args.method is not None:
-        updates["method"] = args.method
+    updates = {name: getattr(args, name) for name in ("seed", "output_dir", "threads", "method")
+               if getattr(args, name) is not None}
     return replace(cfg, **updates) if updates else cfg
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     model = cfg.build_model()
-    runner = run_mlmc_sr if cfg.method == "mlmc-sr" else run_mc_baseline
-    record = runner(model, cfg.estimator_config(cfg.epsilons[0]), cfg.seed,
-                    threads=cfg.threads)
+    record = _runner(cfg.method)(model, cfg.estimator_config(cfg.epsilons[0]), cfg.seed,
+                                 threads=cfg.threads)
     print(f"method: {record.method}")
     print(f"model: {cfg.model_name}")
     print(f"epsilon: {record.config.epsilon!r}")

@@ -12,7 +12,9 @@ Determinism contract: RunRecords are bit-identical for identical
 three choices: counter-based streams addressed by absolute sample
 index, extension work split into fixed-size chunks whose boundaries
 depend only on the extension range, and chunk results folded in range
-order no matter which worker finished first.
+order no matter which worker finished first.  ``_worker_pool`` decides
+once whether work runs inline or on a pool: it yields the ``map`` that
+both drivers and ``experiment.run_experiment`` hand their work to.
 
 Every chunk goes through one fold, ``_fold``: it adds the chunk's code
 counts (see ``CorrectorBatch``) and cost sum to the level.  A refined
@@ -135,25 +137,25 @@ class NonConvergenceError(RuntimeError):
 
 @contextmanager
 def _worker_pool(threads: int):
-    """A thread pool for ``threads`` > 1; None (work runs inline) for 1."""
+    """The ``map`` to run work with, results in input order: the builtin
+    (inline) for 1 thread, a pool's over ``threads`` workers for more."""
     if not (is_integer(threads) and threads >= 1):
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if threads == 1:
-        yield None
+        yield map
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pool
+        yield pool.map
 
 
-def _map_chunks(fn, lo: int, hi: int, chunk: int, pool: ThreadPoolExecutor | None):
+def _map_chunks(fn, lo: int, hi: int, chunk: int, pmap):
     """``fn((a, b))`` over [lo, hi) cut every ``chunk`` indices from lo.
 
-    The cuts depend only on the range, and results arrive in range
-    order whichever worker finishes first, so folding them is
-    deterministic.
+    The cuts depend only on the range, and ``pmap`` (see ``_worker_pool``)
+    hands results back in range order whichever worker finishes first,
+    so folding them is deterministic.
     """
-    ranges = [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
-    return pool.map(fn, ranges) if pool is not None else map(fn, ranges)
+    return pmap(fn, [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)])
 
 
 # An OutcomeStore records at most STORE_ROWS rows (9 bytes each up to level 84).
@@ -195,11 +197,6 @@ class OutcomeStore:
     def covered(self, level: int) -> int:
         """How many rows of ``level``, from index 0, the store holds."""
         return self._covered.get(level, 0)
-
-    @property
-    def full(self) -> bool:
-        """True once the store holds STORE_ROWS rows and records no more."""
-        return self.rows >= STORE_ROWS
 
     def take(self, level: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the (code, cost) of rows a..b-1 of a level; 0 <= a < b <= covered."""
@@ -275,14 +272,14 @@ def _extend_level(
     state: LevelState,
     target: int,
     config: EstimatorConfig,
-    pool: ThreadPoolExecutor | None,
+    pmap,
     store: OutcomeStore | None = None,
 ) -> None:
-    """Draw and refine samples [n_drawn, target) of one level, in chunks.
+    """Draw and refine samples [n_drawn, target) of one level in chunks, by ``pmap``.
 
     Chunks that ``store`` covers in full are folded from it; an
     extension it covers in full returns there, with no kernel call.  The
-    other chunks are refined, and their rows are recorded in it.
+    other chunks are refined, and it records their rows while it has room.
     """
     lo, hi = state.n_drawn, target
     if hi <= lo:
@@ -302,10 +299,9 @@ def _extend_level(
         a, b = bounds
         return sample_corrector_batch(model, seed, level, a, b, config.y, config.schedule)
 
-    keep = store is not None and not store.full
-    for batch in _map_chunks(work, served, hi, chunk, pool):
+    for batch in _map_chunks(work, served, hi, chunk, pmap):
         _fold(state, batch.counts, batch.cost_fine)
-        if keep:
+        if store is not None:
             store.record(level, batch.lo, batch.code, batch.cost_fine)
     state.tally.check()
 
@@ -345,11 +341,11 @@ def run_mlmc_sr(
     sched, k = config.schedule, config.k
     alloc0 = None  # level 0's allocation moments; None once its tally grows
     converged = False
-    with _worker_pool(threads) as pool:
+    with _worker_pool(threads) as pmap:
         for L in range(config.max_level + 1):
             state = LevelState(L, CorrectorTally(L), histogram=np.zeros(L + 1, dtype=np.int64))
             levels.append(state)
-            _extend_level(model, seed, state, _level_size(config, L), config, pool, store)
+            _extend_level(model, seed, state, _level_size(config, L), config, pmap, store)
             state.moments = _level_moments(state, k)
 
             # a level's moments change only with its tally: each iteration
@@ -361,7 +357,7 @@ def run_mlmc_sr(
                                        sched, config.epsilon)
             for ls, n in zip(levels, sizes.tolist()):
                 if n > ls.n_drawn:
-                    _extend_level(model, seed, ls, n, config, pool, store)
+                    _extend_level(model, seed, ls, n, config, pmap, store)
                     ls.moments = _level_moments(ls, k)
                     if ls.level == 0:
                         alloc0 = None
@@ -456,14 +452,14 @@ def run_mc_baseline(
     pilot_levels = range(1, config.max_level + 1) if floor < threshold else ()
 
     pilot_cost = 0.0
-    with _worker_pool(threads) as pool:
+    with _worker_pool(threads) as pmap:
         for L in pilot_levels:
             n_pilot = _level_size(config, L)
             if (L, n_pilot) not in pilots:
                 solve = partial(_solve_rows, model, seed, L, config.y,
                                 (sched.tolerance(L), sched.tolerance(L - 1)))
                 sums = [0, 0, 0, 0.0, 0.0]  # n_plus, n_minus, hits, fine and coarse cost
-                for (qf, wf), (qc, wc) in _map_chunks(solve, 0, n_pilot, chunk, pool):
+                for (qf, wf), (qc, wc) in _map_chunks(solve, 0, n_pilot, chunk, pmap):
                     sums = [a + b for a, b in zip(sums, (
                         int(np.count_nonzero(qf > qc)), int(np.count_nonzero(qf < qc)),
                         int(np.count_nonzero(qf)), float(wf.sum()), float(wc.sum())))]
@@ -487,7 +483,7 @@ def run_mc_baseline(
         state = LevelState(L, hits, MomentEstimates(L, p_hat, s2),
                            np.zeros(L + 1, dtype=np.int64), fine_cost)
         solve = partial(_solve_rows, model, seed, L, config.y, (sched.tolerance(L),))
-        for ((q, w),) in _map_chunks(solve, n_pilot, n_mc, chunk, pool):
+        for ((q, w),) in _map_chunks(solve, n_pilot, n_mc, chunk, pmap):
             hits.n += q.size
             hits.n_plus += int(np.count_nonzero(q))
             state.cost += float(w.sum())

@@ -247,12 +247,19 @@ def level0_allocation_variance(tally: CorrectorTally, k: float) -> float:
 def _cost_ladder(levels: int, schedule: LevelSchedule) -> list[float]:
     """``cost_per_sample`` of levels 0..levels-1 as Python floats, each
     sum folded left to right from the one below it, so every entry has
-    the bits of its own sum."""
-    r = schedule.gamma ** (1.0 - schedule.q)
+    the bits of its own sum.  Raises ValueError when a cost overflows a
+    float, as it does for a large q."""
     ladder, total = [], 0.0
-    for j in range(levels):
-        total += r ** j
-        ladder.append(float(total))
+    try:
+        r = schedule.gamma ** (1.0 - schedule.q)
+        for j in range(levels):
+            total += r ** j
+            ladder.append(float(total))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the cost ladder sum of gamma**((1 - q) j) overflows a float "
+                         f"(q={schedule.q}, gamma={schedule.gamma})")
     return ladder
 
 

@@ -51,6 +51,12 @@ SCHEMA_VERSION = "# mlmcsr-csv 1"
 _METHODS = ("mlmc-sr", "mc")
 
 
+def _runner(method: str):
+    """The driver function of ``method`` (one of ``_METHODS``), read from this
+    module's bindings at call time, so a wrapper set on them is what runs."""
+    return run_mlmc_sr if method == "mlmc-sr" else run_mc_baseline
+
+
 class ConfigError(ValueError):
     """Raised for an experiment configuration that cannot be run."""
 
@@ -344,7 +350,7 @@ def _seed_runs(model, method: str, configs: list[EstimatorConfig],
     The runs of a seed share one OutcomeStore: mlmc-sr runs refine each
     realization once, and mc runs share their pilot levels.
     """
-    runner = run_mlmc_sr if method == "mlmc-sr" else run_mc_baseline
+    runner = _runner(method)
     store = OutcomeStore(model, seed, configs[0])
     return [runner(model, c, seed, store=store) for c in configs]
 
@@ -365,8 +371,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     seeds = [config.seed + i for i in range(config.runs)]
     configs = [config.estimator_config(epsilon) for epsilon in config.epsilons]
     run = partial(_seed_runs, model, config.method, configs)
-    with _worker_pool(config.threads) as pool:
-        by_seed = list(pool.map(run, seeds) if pool is not None else map(run, seeds))
+    with _worker_pool(config.threads) as pmap:
+        by_seed = list(pmap(run, seeds))
 
     out = Path(config.output_dir) if config.output_dir is not None else None
     if out is not None:
@@ -381,12 +387,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         rows = [_run_row(rec, i, reference) for i, rec in enumerate(records)]
         all_rows.extend(rows)
         summaries.append(summarize_runs(rows))
-        if out is not None:
-            hist_path = out / f"histogram_e{idx}.csv"
-            histograms.append(emit_histogram(records, hist_path))
+        hist_path = None if out is None else out / f"histogram_e{idx}.csv"
+        histograms.append(emit_histogram(records, hist_path))
+        if hist_path is not None:
             files.append(hist_path)
-        else:
-            histograms.append(emit_histogram(records))
 
     if out is not None:
         runs_path, summary_path = out / "runs.csv", out / "summary.csv"

@@ -11,6 +11,11 @@ bit; ``batch_chunk`` is the chunk size the drivers draw in.  A single
 realization is a batch of one.  ``exact_batch`` and, where a closed
 form exists, ``exact_probability`` are test oracles.
 
+Both models address a stream one way: row s of a batch drawn from lo
+reads counter s under ``streams.offset_key(key, lo)``, which is counter
+lo + s under ``key`` (an elliptic row takes m counters, so a block from
+row ``start`` is keyed at ``start * m``).
+
 The sampling path keeps each chunk's arrays small (a few hundred KiB)
 and writes into arrays it already holds where it can: large temporaries
 freed and allocated again on every chunk go back to the operating
@@ -62,7 +67,6 @@ class _SyntheticBatch:
     seed: int
     level: int
     lo: int
-    indices: np.ndarray
     omega: np.ndarray
 
 
@@ -104,49 +108,43 @@ class SyntheticNormalModel:
 
     def from_omega(self, omega: float, level: int = 0, index: int = 0, seed: int = 0) -> _SyntheticBatch:
         """Batch of one realization with a prescribed omega, for hand-traced fixtures."""
-        idx = np.array([index], dtype=np.uint64)
-        return _SyntheticBatch(seed, level, index, idx, np.array([omega], dtype=np.float64))
+        return _SyntheticBatch(seed, level, index, np.array([omega], dtype=np.float64))
 
     def work_units(self, tolerance: float) -> float:
+        """tolerance**-q; raises ValueError when that overflows a float."""
         if tolerance <= 0.0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
-        return tolerance ** -self.q
+        try:
+            return tolerance ** -self.q
+        except OverflowError:
+            raise ValueError(f"the work tolerance**-q of one solve overflows a float "
+                             f"(q={self.q}, tolerance={tolerance})") from None
 
     def exact_probability(self, y: float) -> float:
         return standard_normal_cdf(y)
 
     def draw_batch(self, seed: int, level: int, lo: int, hi: int) -> _SyntheticBatch:
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        omega = normal_at(derive_key(seed, level, _REALIZATION_SLOT), idx)
-        return _SyntheticBatch(seed, level, lo, idx, omega)
+        key = offset_key(derive_key(seed, level, _REALIZATION_SLOT), lo)
+        omega = normal_at(key, np.arange(hi - lo, dtype=np.uint64))
+        return _SyntheticBatch(seed, level, lo, omega)
 
     def solve_batch(
         self, batch: _SyntheticBatch, sel: np.ndarray, tolerance: float, tol_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        # sel is strictly increasing, so a full-length sel is every row
-        every = len(sel) == batch.indices.size
-        rows = slice(None) if every else sel
         if self.uniform_source is not None:
-            u = np.array(
-                [
-                    self.uniform_source(batch.level, int(batch.indices[s]), tol_index)
-                    for s in sel
-                ],
-                dtype=np.float64,
-            )
+            u = np.array([self.uniform_source(batch.level, batch.lo + int(s), tol_index)
+                          for s in sel], dtype=np.float64)
         else:
             key = derive_key(batch.seed, batch.level, tol_index + 1)
-            # row s's counter is lo + s, so a partial sel, folded into the
-            # key as lo, needs no gather of indices
-            u = (uniform_at(key, batch.indices) if every
-                 else uniform_at(offset_key(key, batch.lo), sel))
+            u = uniform_at(offset_key(key, batch.lo), sel)
         # omega + tolerance * (2u - 1 + b) / (1 + b), in place, in that order
         u *= 2.0
         u -= 1.0
         u += self.b
         u *= tolerance
         u /= 1.0 + self.b
-        u += batch.omega[rows]
+        # sel is strictly increasing, so a full-length sel is every row
+        u += batch.omega if len(sel) == batch.omega.size else batch.omega[sel]
         works = np.empty(len(sel))
         works.fill(self.work_units(tolerance))
         return u, works
@@ -228,12 +226,13 @@ class EllipticFlux1D:
         self._phi = math.exp(-1.0 / (m * rho))
         self._innovation = sigma * math.sqrt(-math.expm1(-2.0 / (m * rho)))
 
-    def _fill_fields(self, seed: int, level: int, counters: np.ndarray,
+    def _fill_fields(self, key: int, counters: np.ndarray,
                      field: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Fields of the rows whose normals sit at ``counters``, in ``field``.
+        """Fields of the rows whose normals sit at ``counters`` under ``key``.
 
-        The normals of row ``index`` sit at counters index*m .. index*m + m-1;
-        the AR(1) recursion runs as log2(m) doubling steps
+        Row i's normals sit at counters i*m .. i*m + m-1 (``key`` is offset
+        to the block's first row), and its field goes to ``field``.  The
+        AR(1) recursion runs as log2(m) doubling steps
         ``g[:, s:] += phi**s * g[:, :-s]``, with ``scratch`` (as large as
         ``field``) holding each step's products.  Each step runs as flat
         passes over the whole block, because numpy's 2D strided views cost
@@ -245,7 +244,6 @@ class EllipticFlux1D:
         +0.0, and ``exp`` maps both to 1.0).
         """
         m = self.master_cells
-        key = derive_key(seed, level, _REALIZATION_SLOT)
         g = normal_at(key, counters, out=field)
         first = g[::m] * self.sigma
         g *= self._innovation
@@ -265,13 +263,14 @@ class EllipticFlux1D:
         # one workspace per call, reused by every block: never kept on the
         # model, whose draws may run on several threads at once
         rows = min(block, hi - lo)
-        counters = np.arange(lo * m, (lo + rows) * m, dtype=np.uint64)
+        key = derive_key(seed, level, _REALIZATION_SLOT)
+        counters = np.arange(rows * m, dtype=np.uint64)
         field, scratch = np.empty(rows * m), np.empty(rows * m)
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
             n = stop - start
-            a_bar = self._fill_fields(seed, level, counters[: n * m], field[: n * m],
-                                      scratch[: n * m])
+            a_bar = self._fill_fields(offset_key(key, start * m), counters[: n * m],
+                                      field[: n * m], scratch[: n * m])
             # master grid first, then pool neighbouring cells pairwise; the
             # reciprocals and pair sums go to scratch, the means to field
             for col in range(len(grids) - 1, -1, -1):
@@ -284,7 +283,6 @@ class EllipticFlux1D:
                     pairs = np.add(a_bar[:, 0::2], a_bar[:, 1::2],
                                    out=scratch[: n * half].reshape(n, half))
                     a_bar = np.multiply(pairs, 0.5, out=field[: n * half].reshape(n, half))
-            counters += np.uint64(block * m)
         exact = fluxes[:, -1].copy()  # master grid: averaging is the identity
         errors = np.abs(fluxes - exact[:, None])
         return _EllipticBatch(seed, level, lo, fluxes, errors, exact)

@@ -12,7 +12,10 @@ stateful generators do not give us:
 Keys are derived by walking salted steps of the splitmix64 generator;
 values are produced by applying its finalizer to ``key + (counter+1) *
 GOLDEN``, which is exactly the splitmix64 output sequence seeded at the
-key.  Uniforms keep the top 53 bits, centred in their cell, and are
+key.  ``offset_key(key, lo)`` moves a stream's origin to counter lo:
+the models read row s of a batch that starts at sample index lo at
+counter s under it, which is counter lo + s under ``key``.  Uniforms
+keep the top 53 bits, centred in their cell, and are
 strictly inside (0, 1): the one word whose centre rounds up to 1.0 is
 mapped to the largest double below 1, so the inverse normal CDF below
 never sees 0 or 1.
@@ -155,16 +158,11 @@ def _centres(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def uniform_at(key: int, counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Uniforms in the open interval (0, 1) at the given counters.
-
-    ``out``, a float64 array of the counters' shape, receives the result
-    and serves as the shift scratch on the way; it must not share memory
-    with ``counters``, which are never written.
-    """
+def uniform_at(key: int, counters: np.ndarray) -> np.ndarray:
+    """Uniforms in the open interval (0, 1) at the given counters, which
+    are never written."""
     counters = np.asarray(counters)
-    if out is None:
-        out = np.empty(counters.shape, dtype=np.float64)
+    out = np.empty(counters.shape, dtype=np.float64)   # also the shift scratch
     u = _centres(_counter_words(key, counters, out.view(np.uint64)), out)
     return np.minimum(u, _U_MAX, out=u)   # moves only the 1.0
 
@@ -222,7 +220,9 @@ def _inverse_normal_cdf(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def normal_at(key: int, counters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals at the given counters: AS241 at ``uniform_at``'s uniforms.
 
-    ``out`` is filled and returned as in ``uniform_at``.
+    ``out``, a float64 array of the counters' shape, receives the result
+    and serves as the shift scratch on the way; it must not share memory
+    with ``counters``, which are never written.
     """
     counters = np.asarray(counters)
     if out is None:

@@ -119,6 +119,17 @@ def test_uniform_source_in_a_config_is_config_error(tmp_path, capsys, entry):
     assert "uniform_source must be callable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["mlmc-sr", "mc"])
+def test_overflowing_work_exponent_is_config_error(tmp_path, capsys, method):
+    # mlmc-sr's cost ladder and mc's work units overflow a float at q=2000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"name": "synthetic-normal"}, "y": 0.8,
+                                "epsilons": [0.05], "runs": 1, "q": 2000}))
+    assert main(["estimate", "--config", str(path), "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "q=2000" in err and "Traceback" not in err
+
+
 def test_level_cap_is_nonconvergence_exit(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": {"name": "synthetic-normal"},

@@ -234,12 +234,12 @@ def reference_level_loop(model, config, seed):
         levels.append(driver.LevelState(L, CorrectorTally(L),
                                         histogram=np.zeros(L + 1, dtype=np.int64)))
         driver._extend_level(model, seed, levels[L], driver._level_size(config, L),
-                             config, None)
+                             config, map)
         alloc = moments()
         alloc[0] = MomentEstimates(0, alloc[0].mean_bound,
                                    level0_allocation_variance(levels[0].tally, k))
         for ls, n in zip(levels, optimal_allocation(alloc, config.schedule, config.epsilon)):
-            driver._extend_level(model, seed, ls, int(n), config, None)
+            driver._extend_level(model, seed, ls, int(n), config, map)
         for ls, m in zip(levels, moments()):
             ls.moments = m
         if L >= 2:
@@ -461,7 +461,7 @@ def test_store_serves_exactly_the_rows_it_holds(target):
     def extended(target, store):
         state = driver.LevelState(2, driver.CorrectorTally(2),
                                   histogram=np.zeros(3, dtype=np.int64))
-        driver._extend_level(model, 9, state, target, cfg, None, store)
+        driver._extend_level(model, 9, state, target, cfg, map, store)
         return state
 
     extended(100, store)
@@ -658,7 +658,7 @@ def test_refined_and_served_chunks_fold_the_kernel_rows(rows):
     store = OutcomeStore(model, 5, cfg)
     for s in (store, store, None):
         state = new_level_state(3)
-        driver._extend_level(model, 5, state, rows, cfg, None, s)
+        driver._extend_level(model, 5, state, rows, cfg, map, s)
         assert level_sums(state) == want
     assert store.covered(3) == rows
 

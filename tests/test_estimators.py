@@ -345,6 +345,17 @@ def test_cost_ladder_sums_each_level_left_to_right():
         cost_per_sample(-1, LevelSchedule())
 
 
+@pytest.mark.parametrize("q, levels", [(2000.0, 1), (40.0, 28), (40.0, 40)])
+def test_cost_ladder_overflow_is_a_value_error_naming_q_and_gamma(q, levels):
+    # q=2000: gamma**(1 - q) itself overflows; q=40: r**27 = 2**1053 does
+    sched = LevelSchedule(0.5, q)
+    with pytest.raises(ValueError, match=r"q=.*gamma=0\.5"):
+        estimators._cost_ladder(levels, sched)
+    with pytest.raises(ValueError, match="q="):
+        optimal_allocation([MomentEstimates(l, 0.0, 1.0) for l in range(levels)], sched, 0.1)
+    assert estimators._cost_ladder(27, LevelSchedule(0.5, 40.0))[-1] < math.inf
+
+
 def test_optimal_allocation_wires_cost_model():
     sched = LevelSchedule(gamma=0.5, q=2.0)
     moments = [MomentEstimates(l, 0.0, v) for l, v in enumerate([1.0, 0.25])]

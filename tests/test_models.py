@@ -19,7 +19,7 @@ from mlmcsr.models import (
     standard_normal_cdf,
 )
 from mlmcsr.refinement import sample_corrector_batch
-from mlmcsr.streams import derive_key, normal_at
+from mlmcsr.streams import derive_key, normal_at, offset_key, uniform_at
 
 Y = 0.8
 B = 0.1
@@ -70,6 +70,34 @@ class TestSyntheticSolve:
         assert SyntheticNormalModel(q=2.0).work_units(0.25) == pytest.approx(16.0)
         with pytest.raises(ValueError):
             SyntheticNormalModel().work_units(0.0)
+
+    def test_work_units_overflow_is_a_value_error_naming_q(self):
+        model = SyntheticNormalModel(q=2000.0)
+        assert model.work_units(1.0) == 1.0
+        with pytest.raises(ValueError, match="q=2000"):
+            model.work_units(0.5)
+        with pytest.raises(ValueError, match="q=2000"):
+            model.solve_batch(model.draw_batch(0, 1, 0, 4), np.arange(4), 0.5, 1)
+
+    @pytest.mark.parametrize("sel", [np.array([1, 4]), np.arange(6)])
+    def test_uniform_source_gets_absolute_indices(self, sel):
+        # a batch drawn at lo=100: row s is realization 100 + s, under a
+        # partial and under a full-length sel, and a source that reads the
+        # keyed stream at those indices reproduces the keyed solve
+        seed, level, tol_index = 5, 3, 2
+        key = derive_key(seed, level, tol_index + 1)
+        calls = []
+
+        def source(l, index, j):
+            calls.append((l, index, j))
+            return float(uniform_at(key, np.array([index], dtype=np.uint64))[0])
+
+        keyed = SyntheticNormalModel()
+        fixture = SyntheticNormalModel(uniform_source=source)
+        batch = keyed.draw_batch(seed, level, 100, 106)
+        v, _ = fixture.solve_batch(batch, sel, 0.25, tol_index)
+        assert calls == [(level, 100 + int(s), tol_index) for s in sel]
+        np.testing.assert_array_equal(v, keyed.solve_batch(batch, sel, 0.25, tol_index)[0])
 
     def test_certified_bound_holds_exactly(self):
         # |value - omega| <= tolerance for a million keyed draws
@@ -215,11 +243,12 @@ def test_elliptic_selected_cells_monotone_in_tolerance(elliptic):
 
 def fields(model, seed, level, lo, hi):
     """Coefficient fields of realizations lo..hi-1, one row each, as
-    ``EllipticFlux1D.draw_batch`` builds them with ``_fill_fields``."""
+    ``EllipticFlux1D.draw_batch`` builds them with ``_fill_fields``: counters
+    from 0 under the key offset to row lo's first counter, lo * m."""
     m = model.master_cells
-    counters = np.arange(lo * m, hi * m, dtype=np.uint64)
-    return model._fill_fields(seed, level, counters, np.empty(counters.size),
-                              np.empty(counters.size))
+    counters = np.arange((hi - lo) * m, dtype=np.uint64)
+    return model._fill_fields(offset_key(derive_key(seed, level, 0), lo * m), counters,
+                              np.empty(counters.size), np.empty(counters.size))
 
 
 def cholesky_fields(model, seed, level, lo, hi):
@@ -242,12 +271,12 @@ def test_elliptic_fields_match_dense_cholesky(sigma, rho):
                                rtol=1e-12, atol=1e-12)
 
 
-def rowwise_fill_fields(model, seed, level, counters, field, scratch):
+def rowwise_fill_fields(model, key, counters, field, scratch):
     """The AR(1) doubling steps run row by row on 2D views of the block: the
     reference the flat passes of ``EllipticFlux1D._fill_fields`` must match
     bit for bit."""
     m = model.master_cells
-    g = normal_at(derive_key(seed, level, 0), counters, out=field).reshape(-1, m)
+    g = normal_at(key, counters, out=field).reshape(-1, m)
     step = scratch.reshape(-1, m)
     g[:, 0] *= model.sigma
     g[:, 1:] *= model._innovation
@@ -266,9 +295,11 @@ def test_elliptic_fields_match_rowwise_reference_bitwise(monkeypatch, m, rho, si
     block = max(1, models._FIELD_BLOCK // m)
     lo, hi = 3, 3 + 3 * block + block // 2  # three whole blocks and a partial one
     flat_fields = fields(model, 9, 2, lo, hi)
+    # the reference reads absolute counters under the level's own key, so it
+    # also checks that the offset key of ``fields`` addresses the same normals
     counters = np.arange(lo * m, hi * m, dtype=np.uint64)
-    reference = rowwise_fill_fields(model, 9, 2, counters, np.empty(counters.size),
-                                    np.empty(counters.size))
+    reference = rowwise_fill_fields(model, derive_key(9, 2, 0), counters,
+                                    np.empty(counters.size), np.empty(counters.size))
     assert flat_fields.shape == reference.shape == (hi - lo, m)
     assert flat_fields.tobytes() == reference.tobytes()
     if sigma == 0.0:
